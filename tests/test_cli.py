@@ -5,12 +5,14 @@ files written under a temp directory. Determinism tests compare report bytes
 across repeat runs.
 """
 
+import argparse
 import csv
 import json
 from pathlib import Path
 
 import pytest
 
+from carafe import cli
 from carafe.cli import build_parser, main
 
 
@@ -33,6 +35,124 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["bench", "--banana", "3"])
         assert exc.value.code == 2
+
+
+_DTYPES = ("double", "single")
+_COMMON = [
+    (("--config",), "config", None, None),
+    (("--seed",), "seed", int, None),
+    (("--threads",), "threads", int, None),
+    (("--out",), "out", None, None),
+]
+_TRAIN_SWEEP_HEAD = [
+    (("--task",), "task", None, ("super_res", "inpaint", "seg2")),
+    (("--arch",), "arch", None, ("upsampler", "bottleneck", "fpn")),
+]
+_TRAIN_SWEEP_RUN = [
+    (("--size",), "size", int, None),
+    (("--sigma",), "sigma", int, None),
+    (("--channels",), "channels", int, None),
+    (("--epochs",), "epochs", int, None),
+    (("--lr",), "lr", float, None),
+    (("--momentum",), "momentum", float, None),
+    (("--weight-decay",), "weight_decay", float, None),
+    (("--train-count",), "train_count", int, None),
+    (("--eval-count",), "eval_count", int, None),
+]
+
+# (option strings, dest, type, choices) of every flag, in parser order.
+CLI_SURFACE = {
+    "gradcheck": [
+        (("--ops",), "ops", None, None),
+        (("--tol",), "tol", float, None),
+        (("--eps",), "eps", float, None),
+    ] + _COMMON,
+    "bench": [
+        (("--ops",), "ops", None, None),
+        (("--shape",), "shape", None, None),
+        (("--sigma",), "sigma", int, None),
+        (("--reps",), "reps", int, None),
+        (("--warmup",), "warmup", int, None),
+        (("--dtype",), "dtype", None, _DTYPES),
+    ] + _COMMON,
+    "train": _TRAIN_SWEEP_HEAD + [
+        (("--operator",), "operator", None,
+         ("carafe", "nearest_up", "bilinear_up", "transposed_conv",
+          "nearest_plus_conv", "bilinear_plus_conv", "max_pool", "avg_pool",
+          "strided_conv", "spatial_attention")),
+    ] + _TRAIN_SWEEP_RUN + [
+        (("--c-mid",), "c_mid", int, None),
+        (("--k-encoder",), "k_encoder", int, None),
+        (("--k-reassembly",), "k_reassembly", int, None),
+        (("--normalizer",), "normalizer", None,
+         ("softmax", "sigmoid", "sigmoid_norm")),
+        (("--compressor-norm",), "compressor_norm", None,
+         ("on", "off", "default")),
+        (("--dtype",), "dtype", None, _DTYPES),
+    ] + _COMMON,
+    "sweep": _TRAIN_SWEEP_HEAD + _TRAIN_SWEEP_RUN + [
+        (("--c-mid-grid",), "c_mid_grid", None, None),
+        (("--kernel-grid",), "kernel_grid", None, None),
+        (("--normalizer-grid",), "normalizer_grid", None, None),
+        (("--dtype",), "dtype", None, _DTYPES),
+    ] + _COMMON,
+}
+
+DEFAULTS = {"gradcheck": cli._GRADCHECK_DEFAULTS, "bench": cli._BENCH_DEFAULTS,
+            "train": cli._TRAIN_DEFAULTS, "sweep": cli._SWEEP_DEFAULTS}
+
+
+def _subparsers(parser):
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _flag_value(type_, choices):
+    """A command-line string for one flag and the value it parses to."""
+    if choices is not None:
+        return choices[-1], choices[-1]
+    if type_ is int:
+        return "7", 7
+    if type_ is float:
+        return "0.5", 0.5
+    return "x", "x"
+
+
+class TestCliSurface:
+    def test_subcommands(self):
+        assert list(_subparsers(build_parser())) == list(CLI_SURFACE)
+
+    @pytest.mark.parametrize("command", list(CLI_SURFACE))
+    def test_flags_dests_types_and_choices(self, command):
+        sub = _subparsers(build_parser())[command]
+        got = [(tuple(a.option_strings), a.dest, a.type,
+                None if a.choices is None else tuple(a.choices))
+               for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        assert got == CLI_SURFACE[command]
+        assert all(a.default is None for a in sub._actions
+                   if not isinstance(a, argparse._HelpAction))
+
+    @pytest.mark.parametrize("command", list(CLI_SURFACE))
+    def test_every_config_key_has_a_flag(self, command):
+        dests = {dest for _, dest, _, _ in CLI_SURFACE[command]}
+        assert dests - {"config"} == set(DEFAULTS[command])
+
+    @pytest.mark.parametrize("command", list(CLI_SURFACE))
+    def test_every_config_key_set_by_flag_and_by_file(self, command, tmp_path):
+        parser = build_parser()
+        defaults = DEFAULTS[command]
+        for (flag,), dest, type_, choices in CLI_SURFACE[command]:
+            if dest == "config":
+                continue
+            text, value = _flag_value(type_, choices)
+            args = parser.parse_args([command, flag, text])
+            assert cli._merge_config(parser, args, defaults)[dest] == value
+
+            path = tmp_path / f"{dest}.json"
+            path.write_text(json.dumps({dest: "from-file"}))
+            args = parser.parse_args([command, "--config", str(path)])
+            assert cli._merge_config(parser, args, defaults)[dest] == "from-file"
 
 
 class TestGradcheckCommand:
