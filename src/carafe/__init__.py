@@ -23,30 +23,28 @@ from .gradcheck import (GradReport, check_op, finite_diff, registered_ops,
                         relative_error)
 from .nn import (AffineNormParams, ConvLayerParams, affine_norm,
                  affine_norm_backward, affine_params, conv2d_backward,
-                 conv2d_forward, conv2d_forward_blocked, conv_output_hw,
-                 conv_params, pixel_shuffle, pixel_unshuffle, relu,
-                 relu_backward, sgd_step, sigmoid, softmax_group,
-                 softmax_group_backward, transposed_conv_backward,
-                 transposed_conv_forward, transposed_conv_params, zero_grads)
+                 conv2d_forward, conv_output_hw, conv_params, pixel_shuffle,
+                 pixel_unshuffle, relu, relu_backward, sgd_step,
+                 softmax_group, softmax_group_backward,
+                 transposed_conv_backward, transposed_conv_forward,
+                 transposed_conv_params, zero_grads)
 from .reassembly import (CarafeConfig, CarafeParams, KernelField,
                          carafe_backward, carafe_forward, carafe_params,
                          kernel_offsets, map_target_to_source,
                          predict_kernels, reassemble, reassemble_backward)
-from .tensor import (DOUBLE, SINGLE, Tensor, Window, elementwise, read_window,
-                     reduce_mean, scale, tensor_new, zeros_like)
+from .tensor import DOUBLE, SINGLE, Tensor
 
 __all__ = [
     "__version__",
-    "Tensor", "Window", "tensor_new", "zeros_like", "read_window",
-    "elementwise", "scale", "reduce_mean", "SINGLE", "DOUBLE",
+    "Tensor", "SINGLE", "DOUBLE",
     "CarafeError", "ShapeError", "DTypeError", "GeometryError",
     "KernelSizeError", "ContractError", "FormatError", "NumericError",
     "TrainingDiverged",
     "ConvLayerParams", "AffineNormParams", "conv_params",
     "transposed_conv_params", "affine_params", "conv_output_hw",
-    "conv2d_forward", "conv2d_forward_blocked", "conv2d_backward",
+    "conv2d_forward", "conv2d_backward",
     "transposed_conv_forward", "transposed_conv_backward", "pixel_shuffle",
-    "pixel_unshuffle", "relu", "relu_backward", "sigmoid", "softmax_group",
+    "pixel_unshuffle", "relu", "relu_backward", "softmax_group",
     "softmax_group_backward", "affine_norm", "affine_norm_backward",
     "sgd_step", "zero_grads",
     "CarafeConfig", "CarafeParams", "KernelField", "carafe_params",

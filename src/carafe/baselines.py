@@ -19,24 +19,16 @@ Kinds:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import count, repeat
+from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GeometryError, ShapeError
+from .errors import GeometryError
 from .nn import (ConvLayerParams, conv2d_backward, conv2d_forward,
                  conv_params, sigmoid_array, transposed_conv_backward,
                  transposed_conv_forward, transposed_conv_params)
 from .tensor import Tensor
-
-UP_KINDS = ("nearest_up", "bilinear_up", "transposed_conv",
-            "nearest_plus_conv", "bilinear_plus_conv")
-DOWN_KINDS = ("max_pool", "avg_pool", "strided_conv")
-DUAL_KINDS = ("spatial_attention",)
-ALL_KINDS = UP_KINDS + DOWN_KINDS + DUAL_KINDS
-
-LEARNED_KINDS = ("strided_conv", "transposed_conv", "nearest_plus_conv",
-                 "bilinear_plus_conv", "spatial_attention")
 
 
 @dataclass
@@ -51,46 +43,6 @@ def deconv_geometry(sigma: int) -> tuple[int, int]:
     """(kernel, pad) for the transposed-conv baseline; k - 2*pad == sigma."""
     k = 2 * sigma - (sigma % 2)
     return k, (k - sigma) // 2
-
-
-def make_resample_op(kind: str, sigma: int, channels: int | None = None,
-                     rng: np.random.Generator | None = None,
-                     dtype=np.float64, direction: str | None = None) -> ResampleOp:
-    """Build one roster entry; learned kinds need channels (rng optional)."""
-    if kind not in ALL_KINDS:
-        raise ValueError(f"unknown resample kind {kind!r}; choose from {ALL_KINDS}")
-    if not isinstance(sigma, int) or sigma < 1:
-        raise GeometryError(f"sigma must be an integer >= 1, got {sigma!r}")
-    if kind in UP_KINDS:
-        inferred = "up"
-    elif kind in DOWN_KINDS:
-        inferred = "down"
-    else:
-        if direction not in ("down", "up"):
-            raise ValueError(f"{kind} needs an explicit direction ('down' or 'up')")
-        inferred = direction
-    if direction is not None and direction != inferred:
-        raise ValueError(f"{kind} resamples {inferred}, not {direction}")
-    params = None
-    if kind in LEARNED_KINDS:
-        if channels is None:
-            raise ValueError(f"{kind} is learned; pass the channel count")
-        if kind == "strided_conv":
-            params = conv_params(channels, channels, 3, rng, dtype)
-        elif kind == "transposed_conv":
-            k, _ = deconv_geometry(sigma)
-            params = transposed_conv_params(channels, channels, k, rng, dtype)
-        elif kind in ("nearest_plus_conv", "bilinear_plus_conv"):
-            params = conv_params(channels, channels, 3, rng, dtype)
-        elif kind == "spatial_attention":
-            params = conv_params(1, channels, 1, rng, dtype)
-    return ResampleOp(kind=kind, sigma=sigma, direction=inferred, params=params)
-
-
-def resample_output_hw(op: ResampleOp, h: int, w: int) -> tuple[int, int]:
-    if op.direction == "down":
-        return (-(-h // op.sigma), -(-w // op.sigma))
-    return (op.sigma * h, op.sigma * w)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +75,7 @@ def _bilinear_up(xd: np.ndarray, sigma: int) -> tuple[np.ndarray, tuple]:
     return out, (i0, i1, ti, j0, j1, tj, h, w)
 
 
-def _bilinear_up_backward(go: np.ndarray, geom: tuple) -> np.ndarray:
+def _bilinear_up_adjoint(go: np.ndarray, geom: tuple) -> np.ndarray:
     i0, i1, ti, j0, j1, tj, h, w = geom
     n, c = go.shape[:2]
     one = go.dtype.type(1)
@@ -161,78 +113,27 @@ def _pool_geometry(h: int, w: int, sigma: int) -> tuple[list[int], int, int, int
     return offs, h_out, w_out, pad_lo, max(pad_hi_h, pad_hi_w)
 
 
-# ---------------------------------------------------------------------------
-# forward / backward dispatch
+def _pool_taps(xp: np.ndarray, offs: list[int], pad_lo: int, sig: int,
+               h_out: int, w_out: int):
+    """Strided views of xp, one per window tap, taps in row-major order."""
+    for di in offs:
+        for dj in offs:
+            yield xp[:, :,
+                     pad_lo + di:pad_lo + di + sig * (h_out - 1) + 1:sig,
+                     pad_lo + dj:pad_lo + dj + sig * (w_out - 1) + 1:sig]
 
 
-def resample_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
-    """Apply the operator; returns (output, cache for resample_backward)."""
-    n, c, h, w = x.shape
-    xd = x.data
-    sig = op.sigma
-    kind = op.kind
-    if kind == "nearest_up":
-        rows = _nearest_indices(sig, h)
-        cols = _nearest_indices(sig, w)
-        y = xd[:, :, rows[:, None], cols[None, :]]
-        return Tensor(y), {"in_hw": (h, w)}
-    if kind == "bilinear_up":
-        y, geom = _bilinear_up(xd, sig)
-        return Tensor(y), {"geom": geom}
-    if kind == "max_pool":
-        offs, h_out, w_out, pad_lo, pad_hi = _pool_geometry(h, w, sig)
-        xp = np.pad(xd, ((0, 0), (0, 0), (pad_lo, pad_hi), (pad_lo, pad_hi)),
-                    constant_values=-np.inf)
-        cands = np.stack([
-            xp[:, :,
-               pad_lo + di:pad_lo + di + sig * (h_out - 1) + 1:sig,
-               pad_lo + dj:pad_lo + dj + sig * (w_out - 1) + 1:sig]
-            for di in offs for dj in offs], axis=0)
-        arg = np.argmax(cands, axis=0)
-        y = np.take_along_axis(cands, arg[None], axis=0)[0]
-        return Tensor(y), {"arg": arg, "in_hw": (h, w)}
-    if kind == "avg_pool":
-        offs, h_out, w_out, pad_lo, pad_hi = _pool_geometry(h, w, sig)
-        xp = np.pad(xd, ((0, 0), (0, 0), (pad_lo, pad_hi), (pad_lo, pad_hi)))
-        acc = np.zeros((n, c, h_out, w_out), dtype=x.dtype)
-        for di in offs:
-            for dj in offs:
-                acc += xp[:, :,
-                          pad_lo + di:pad_lo + di + sig * (h_out - 1) + 1:sig,
-                          pad_lo + dj:pad_lo + dj + sig * (w_out - 1) + 1:sig]
-        y = acc / x.dtype.type(sig * sig)
-        return Tensor(y), {"in_hw": (h, w)}
-    if kind == "strided_conv":
-        y = conv2d_forward(x, op.params, stride=sig, pad=1)
-        return y, {"x": x}
-    if kind == "transposed_conv":
-        k, pad = deconv_geometry(sig)
-        y = transposed_conv_forward(x, op.params, stride=sig, pad=pad)
-        return y, {"x": x}
-    if kind in ("nearest_plus_conv", "bilinear_plus_conv"):
-        if kind == "nearest_plus_conv":
-            rows = _nearest_indices(sig, h)
-            cols = _nearest_indices(sig, w)
-            up = Tensor(xd[:, :, rows[:, None], cols[None, :]])
-            cache = {"up": up, "in_hw": (h, w)}
-        else:
-            ud, geom = _bilinear_up(xd, sig)
-            up = Tensor(ud)
-            cache = {"up": up, "geom": geom}
-        y = conv2d_forward(up, op.params, stride=1, pad=1)
-        return y, cache
-    if kind == "spatial_attention":
-        z = conv2d_forward(x, op.params, stride=1, pad=0)
-        gate = sigmoid_array(z.data)
-        att = xd * gate
-        if op.direction == "down":
-            y = att[:, :, ::sig, ::sig]
-        else:
-            rows = _nearest_indices(sig, h)
-            cols = _nearest_indices(sig, w)
-            y = att[:, :, rows[:, None], cols[None, :]]
-        return Tensor(np.ascontiguousarray(y)), {"x": x, "gate": gate}
-    raise ValueError(f"unknown resample kind {kind!r}")
+def _pool_adjoint(go: np.ndarray, in_hw: tuple[int, int], sig: int,
+                  tap_grads) -> Tensor:
+    """Add the q-th of tap_grads into window tap q of every output; crop."""
+    h, w = in_hw
+    offs, h_out, w_out, pad_lo, pad_hi = _pool_geometry(h, w, sig)
+    gxp = np.zeros((go.shape[0], go.shape[1],
+                    h + pad_lo + pad_hi, w + pad_lo + pad_hi), dtype=go.dtype)
+    for view, g in zip(_pool_taps(gxp, offs, pad_lo, sig, h_out, w_out),
+                       tap_grads):
+        view += g
+    return Tensor(gxp[:, :, pad_lo:pad_lo + h, pad_lo:pad_lo + w].copy())
 
 
 def _nearest_up_adjoint(go: np.ndarray, sigma: int, h: int, w: int) -> np.ndarray:
@@ -240,68 +141,223 @@ def _nearest_up_adjoint(go: np.ndarray, sigma: int, h: int, w: int) -> np.ndarra
     return go.reshape(n, c, h, sigma, w, sigma).sum(axis=(3, 5))
 
 
-def resample_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
-    """Adjoint of resample_forward; accumulates grads of learned params."""
+# ---------------------------------------------------------------------------
+# per-kind forward / backward; each forward returns (output, cache)
+
+
+def _nearest_up_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
+    h, w = x.shape[2:]
+    rows = _nearest_indices(op.sigma, h)
+    cols = _nearest_indices(op.sigma, w)
+    return Tensor(x.data[:, :, rows[:, None], cols[None, :]]), {"in_hw": (h, w)}
+
+
+def _nearest_up_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
+    h, w = cache["in_hw"]
+    return Tensor(_nearest_up_adjoint(grad_y.data, op.sigma, h, w))
+
+
+def _bilinear_up_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
+    y, geom = _bilinear_up(x.data, op.sigma)
+    return Tensor(y), {"geom": geom}
+
+
+def _bilinear_up_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
+    return Tensor(_bilinear_up_adjoint(grad_y.data, cache["geom"]))
+
+
+def _max_pool_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
+    h, w = x.shape[2:]
+    offs, h_out, w_out, pad_lo, pad_hi = _pool_geometry(h, w, op.sigma)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pad_lo, pad_hi), (pad_lo, pad_hi)),
+                constant_values=-np.inf)
+    cands = np.stack(list(_pool_taps(xp, offs, pad_lo, op.sigma, h_out, w_out)),
+                     axis=0)
+    arg = np.argmax(cands, axis=0)
+    y = np.take_along_axis(cands, arg[None], axis=0)[0]
+    return Tensor(y), {"arg": arg, "in_hw": (h, w)}
+
+
+def _max_pool_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
+    go, arg = grad_y.data, cache["arg"]
+    return _pool_adjoint(go, cache["in_hw"], op.sigma,
+                         (go * (arg == q) for q in count()))
+
+
+def _avg_pool_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
+    n, c, h, w = x.shape
+    offs, h_out, w_out, pad_lo, pad_hi = _pool_geometry(h, w, op.sigma)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pad_lo, pad_hi), (pad_lo, pad_hi)))
+    acc = np.zeros((n, c, h_out, w_out), dtype=x.dtype)
+    for view in _pool_taps(xp, offs, pad_lo, op.sigma, h_out, w_out):
+        acc += view
+    return Tensor(acc / x.dtype.type(op.sigma * op.sigma)), {"in_hw": (h, w)}
+
+
+def _avg_pool_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
+    go = grad_y.data
+    return _pool_adjoint(go, cache["in_hw"], op.sigma,
+                         repeat(go / go.dtype.type(op.sigma * op.sigma)))
+
+
+def _strided_conv_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
+    return conv2d_forward(x, op.params, stride=op.sigma, pad=1), {"x": x}
+
+
+def _strided_conv_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
+    return conv2d_backward(grad_y, cache["x"], op.params, stride=op.sigma, pad=1)
+
+
+def _transposed_conv_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
+    _, pad = deconv_geometry(op.sigma)
+    y = transposed_conv_forward(x, op.params, stride=op.sigma, pad=pad)
+    return y, {"x": x}
+
+
+def _transposed_conv_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
+    _, pad = deconv_geometry(op.sigma)
+    return transposed_conv_backward(grad_y, cache["x"], op.params,
+                                    stride=op.sigma, pad=pad)
+
+
+def _spatial_attention_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
+    h, w = x.shape[2:]
+    sig = op.sigma
+    z = conv2d_forward(x, op.params, stride=1, pad=0)
+    gate = sigmoid_array(z.data)
+    att = x.data * gate
+    if op.direction == "down":
+        y = att[:, :, ::sig, ::sig]
+    else:
+        rows = _nearest_indices(sig, h)
+        cols = _nearest_indices(sig, w)
+        y = att[:, :, rows[:, None], cols[None, :]]
+    return Tensor(np.ascontiguousarray(y)), {"x": x, "gate": gate}
+
+
+def _spatial_attention_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
     go = grad_y.data
     sig = op.sigma
-    kind = op.kind
-    if kind == "nearest_up":
-        h, w = cache["in_hw"]
-        return Tensor(_nearest_up_adjoint(go, sig, h, w))
-    if kind == "bilinear_up":
-        return Tensor(_bilinear_up_backward(go, cache["geom"]))
-    if kind == "max_pool":
-        h, w = cache["in_hw"]
-        arg = cache["arg"]
-        offs, h_out, w_out, pad_lo, pad_hi = _pool_geometry(h, w, sig)
-        gxp = np.zeros((go.shape[0], go.shape[1],
-                        h + pad_lo + pad_hi, w + pad_lo + pad_hi), dtype=go.dtype)
-        q = 0
-        for di in offs:
-            for dj in offs:
-                gxp[:, :,
-                    pad_lo + di:pad_lo + di + sig * (h_out - 1) + 1:sig,
-                    pad_lo + dj:pad_lo + dj + sig * (w_out - 1) + 1:sig] += \
-                    go * (arg == q)
-                q += 1
-        return Tensor(gxp[:, :, pad_lo:pad_lo + h, pad_lo:pad_lo + w].copy())
-    if kind == "avg_pool":
-        h, w = cache["in_hw"]
-        offs, h_out, w_out, pad_lo, pad_hi = _pool_geometry(h, w, sig)
-        gk = go / go.dtype.type(sig * sig)
-        gxp = np.zeros((go.shape[0], go.shape[1],
-                        h + pad_lo + pad_hi, w + pad_lo + pad_hi), dtype=go.dtype)
-        for di in offs:
-            for dj in offs:
-                gxp[:, :,
-                    pad_lo + di:pad_lo + di + sig * (h_out - 1) + 1:sig,
-                    pad_lo + dj:pad_lo + dj + sig * (w_out - 1) + 1:sig] += gk
-        return Tensor(gxp[:, :, pad_lo:pad_lo + h, pad_lo:pad_lo + w].copy())
-    if kind == "strided_conv":
-        return conv2d_backward(grad_y, cache["x"], op.params, stride=sig, pad=1)
-    if kind == "transposed_conv":
-        k, pad = deconv_geometry(sig)
-        return transposed_conv_backward(grad_y, cache["x"], op.params,
-                                        stride=sig, pad=pad)
-    if kind in ("nearest_plus_conv", "bilinear_plus_conv"):
-        up = cache["up"]
-        g_up = conv2d_backward(grad_y, up, op.params, stride=1, pad=1)
-        if kind == "nearest_plus_conv":
-            h, w = cache["in_hw"]
-            return Tensor(_nearest_up_adjoint(g_up.data, sig, h, w))
-        return Tensor(_bilinear_up_backward(g_up.data, cache["geom"]))
-    if kind == "spatial_attention":
-        x = cache["x"]
-        gate = cache["gate"]
-        n, c, h, w = x.shape
-        if op.direction == "down":
-            g_att = np.zeros((n, c, h, w), dtype=go.dtype)
-            g_att[:, :, ::sig, ::sig] = go
-        else:
-            g_att = _nearest_up_adjoint(go, sig, h, w)
-        gx_feat = g_att * gate
-        g_gate = (g_att * x.data).sum(axis=1, keepdims=True)
-        gz = g_gate * gate * (1.0 - gate)
-        gx_pred = conv2d_backward(Tensor(gz), x, op.params, stride=1, pad=0)
-        return Tensor(gx_feat + gx_pred.data)
-    raise ValueError(f"unknown resample kind {kind!r}")
+    x = cache["x"]
+    gate = cache["gate"]
+    n, c, h, w = x.shape
+    if op.direction == "down":
+        g_att = np.zeros((n, c, h, w), dtype=go.dtype)
+        g_att[:, :, ::sig, ::sig] = go
+    else:
+        g_att = _nearest_up_adjoint(go, sig, h, w)
+    gx_feat = g_att * gate
+    g_gate = (g_att * x.data).sum(axis=1, keepdims=True)
+    gz = g_gate * gate * (1.0 - gate)
+    gx_pred = conv2d_backward(Tensor(gz), x, op.params, stride=1, pad=0)
+    return Tensor(gx_feat + gx_pred.data)
+
+
+# ---------------------------------------------------------------------------
+# the kind table
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One resampler kind: its direction ("up", "down", or None when the
+    caller picks), its parameter builder (channels, sigma, rng, dtype) or
+    None for fixed kinds, and its forward/backward pair."""
+
+    direction: Optional[str]
+    params: Optional[Callable]
+    forward: Callable
+    backward: Callable
+
+
+def _conv3x3_params(channels, sigma, rng, dtype):
+    return conv_params(channels, channels, 3, rng, dtype)
+
+
+def _then_conv3x3(interp: _Kind) -> _Kind:
+    """Interpolate with `interp`, then a 3x3 conv, stride 1, pad 1."""
+
+    def forward(op, x):
+        up, cache = interp.forward(op, x)
+        cache["up"] = up
+        return conv2d_forward(up, op.params, stride=1, pad=1), cache
+
+    def backward(op, grad_y, cache):
+        g_up = conv2d_backward(grad_y, cache["up"], op.params, stride=1, pad=1)
+        return interp.backward(op, g_up, cache)
+
+    return _Kind("up", _conv3x3_params, forward, backward)
+
+
+_NEAREST_UP = _Kind("up", None, _nearest_up_forward, _nearest_up_backward)
+_BILINEAR_UP = _Kind("up", None, _bilinear_up_forward, _bilinear_up_backward)
+
+_KINDS = {
+    "nearest_up": _NEAREST_UP,
+    "bilinear_up": _BILINEAR_UP,
+    "transposed_conv": _Kind(
+        "up",
+        lambda channels, sigma, rng, dtype: transposed_conv_params(
+            channels, channels, deconv_geometry(sigma)[0], rng, dtype),
+        _transposed_conv_forward, _transposed_conv_backward),
+    "nearest_plus_conv": _then_conv3x3(_NEAREST_UP),
+    "bilinear_plus_conv": _then_conv3x3(_BILINEAR_UP),
+    "max_pool": _Kind("down", None, _max_pool_forward, _max_pool_backward),
+    "avg_pool": _Kind("down", None, _avg_pool_forward, _avg_pool_backward),
+    "strided_conv": _Kind("down", _conv3x3_params, _strided_conv_forward,
+                          _strided_conv_backward),
+    "spatial_attention": _Kind(
+        None,
+        lambda channels, sigma, rng, dtype: conv_params(1, channels, 1, rng, dtype),
+        _spatial_attention_forward, _spatial_attention_backward),
+}
+
+UP_KINDS = tuple(k for k, v in _KINDS.items() if v.direction == "up")
+DOWN_KINDS = tuple(k for k, v in _KINDS.items() if v.direction == "down")
+DUAL_KINDS = tuple(k for k, v in _KINDS.items() if v.direction is None)
+ALL_KINDS = tuple(_KINDS)
+
+
+def _kind(name: str) -> _Kind:
+    try:
+        return _KINDS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown resample kind {name!r}; choose from {ALL_KINDS}") from None
+
+
+def make_resample_op(kind: str, sigma: int, channels: int | None = None,
+                     rng: np.random.Generator | None = None,
+                     dtype=np.float64, direction: str | None = None) -> ResampleOp:
+    """Build one roster entry; learned kinds need channels (rng optional)."""
+    spec = _kind(kind)
+    if not isinstance(sigma, int) or sigma < 1:
+        raise GeometryError(f"sigma must be an integer >= 1, got {sigma!r}")
+    inferred = spec.direction
+    if inferred is None:
+        if direction not in ("down", "up"):
+            raise ValueError(f"{kind} needs an explicit direction ('down' or 'up')")
+        inferred = direction
+    if direction is not None and direction != inferred:
+        raise ValueError(f"{kind} resamples {inferred}, not {direction}")
+    params = None
+    if spec.params is not None:
+        if channels is None:
+            raise ValueError(f"{kind} is learned; pass the channel count")
+        params = spec.params(channels, sigma, rng, dtype)
+    return ResampleOp(kind=kind, sigma=sigma, direction=inferred, params=params)
+
+
+def resample_output_hw(op: ResampleOp, h: int, w: int) -> tuple[int, int]:
+    if op.direction == "down":
+        return (-(-h // op.sigma), -(-w // op.sigma))
+    return (op.sigma * h, op.sigma * w)
+
+
+def resample_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
+    """Apply the operator; returns (output, cache for resample_backward)."""
+    return _kind(op.kind).forward(op, x)
+
+
+def resample_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
+    """Adjoint of resample_forward; accumulates grads of learned params."""
+    return _kind(op.kind).backward(op, grad_y, cache)

@@ -24,37 +24,25 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import make_resample_op, resample_forward
+from .baselines import ALL_KINDS, make_resample_op, resample_forward
 from .demo import (ARCHITECTURES, TASK_KINDS, SlotSpec, ToyTask, build_net,
                    train)
 from .errors import CarafeError, TrainingDiverged
 from .gradcheck import check_op, registered_ops
-from .nn import conv2d_forward_blocked, conv_params
-from .reassembly import CarafeConfig, carafe_forward, carafe_params
-from .reference import conv2d_forward_direct
+from .reassembly import NORMALIZERS, CarafeConfig, carafe_forward, carafe_params
 from .tensor import Tensor
 
 _DTYPES = {"single": np.float32, "double": np.float64}
 
-_NORMALIZERS = ("softmax", "sigmoid", "sigmoid_norm")
+_SLOT_KINDS = ("carafe",) + ALL_KINDS
 
-_SLOT_KINDS = ("carafe", "nearest_up", "bilinear_up", "transposed_conv",
-               "nearest_plus_conv", "bilinear_plus_conv", "max_pool",
-               "avg_pool", "strided_conv", "spatial_attention")
-
+# A row's position here is its seed key, so appending keeps every checksum.
 _BENCH_OP_NAMES = (
     "nearest_up", "bilinear_up", "transposed_conv", "nearest_plus_conv",
     "bilinear_plus_conv", "max_pool", "avg_pool", "strided_conv",
     "spatial_attention_down", "spatial_attention_up", "carafe_down",
-    "carafe_up", "conv_blocked", "conv_direct",
+    "carafe_up",
 )
-
-# conv_blocked and conv_direct share one key so they bench identical
-# weights/inputs and their checksums must agree exactly.
-_BENCH_SEED_KEYS = {name: i for i, name in enumerate(_BENCH_OP_NAMES)}
-_BENCH_SEED_KEYS["conv_direct"] = _BENCH_SEED_KEYS["conv_blocked"]
-
-_CONV_BENCH_SHAPE = (1, 4, 12, 12)  # the direct loop nest is slow; keep it small
 
 _GRADCHECK_DEFAULTS = {
     "ops": "all", "tol": 1e-5, "eps": 1e-5, "seed": 0, "threads": None,
@@ -80,6 +68,53 @@ _SWEEP_DEFAULTS = {
     "kernel_grid": "1:3,3:5", "normalizer_grid": "softmax",
     "dtype": "double", "seed": 0, "threads": None, "out": "runs/sweep",
 }
+
+# One flag per config key, --key-name with dest key_name. A subcommand gets
+# the flags of its defaults table; help shows the table's default unless
+# that is None, in which case the help text says what None means.
+_FLAGS = {
+    "ops": dict(help="comma-separated op names"),
+    "tol": dict(type=float, help="relative-error pass bar"),
+    "eps": dict(type=float, help="finite-difference step"),
+    "shape": dict(help="input shape N,C,H,W"),
+    "sigma": dict(type=int, help="resize ratio"),
+    "reps": dict(type=int, help="timed repetitions"),
+    "warmup": dict(type=int, help="warmup runs"),
+    "dtype": dict(choices=sorted(_DTYPES), help="element type"),
+    "task": dict(choices=TASK_KINDS, help="toy task"),
+    "arch": dict(choices=ARCHITECTURES,
+                 help="mini net (default upsampler for super_res, "
+                      "else bottleneck)"),
+    "operator": dict(choices=_SLOT_KINDS,
+                     help="what fills the resampler slot"),
+    "size": dict(type=int, help="image size"),
+    "channels": dict(type=int, help="trunk width"),
+    "epochs": dict(type=int, help="SGD steps"),
+    "lr": dict(type=float, help="learning rate"),
+    "momentum": dict(type=float, help="SGD momentum"),
+    "weight_decay": dict(type=float, help="L2 coefficient"),
+    "train_count": dict(type=int, help="training samples"),
+    "eval_count": dict(type=int, help="held-out samples"),
+    "c_mid": dict(type=int,
+                  help="compressed channels (default 16 down / 64 up)"),
+    "k_encoder": dict(type=int, help="encoder kernel size"),
+    "k_reassembly": dict(type=int, help="reassembly kernel size"),
+    "normalizer": dict(choices=NORMALIZERS, help="kernel normalizer"),
+    "compressor_norm": dict(choices=("on", "off", "default"),
+                            help="compressor norm; 'default' follows the "
+                                 "direction"),
+    "c_mid_grid": dict(help="comma list of compressed-channel counts"),
+    "kernel_grid": dict(help="comma list of k_enc:k_re pairs, e.g. 1:3,3:5,5:7"),
+    "normalizer_grid": dict(help="comma list drawn from "
+                                 + ",".join(NORMALIZERS)),
+    "config": dict(help="JSON config file; flags override it"),
+    "seed": dict(type=int, help="base RNG seed"),
+    "threads": dict(type=int,
+                    help="worker threads (default: $CARAFE_THREADS or 1)"),
+    "out": dict(help="output directory for reports"),
+}
+# Every subcommand ends with --config and then these flags.
+_COMMON_KEYS = ("seed", "threads", "out")
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +236,15 @@ def _cmd_gradcheck(parser, args) -> int:
 
 
 def _bench_case(name: str, shape: tuple, sigma: int, seed: int, dtype):
-    """Build (callable, direction, benched shape) for one roster entry."""
+    """Build (callable, direction) for one roster entry."""
     rng = np.random.default_rng(
-        np.random.SeedSequence((seed, _BENCH_SEED_KEYS[name])))
-    if name in ("conv_blocked", "conv_direct"):
-        shape = _CONV_BENCH_SHAPE
-        x = Tensor(rng.standard_normal(shape).astype(dtype))
-        params = conv_params(shape[1], shape[1], 3, rng, dtype)
-        if name == "conv_blocked":
-            return (lambda: conv2d_forward_blocked(x, params, 1, 1),
-                    "none", shape)
-        return lambda: conv2d_forward_direct(x, params, 1, 1), "none", shape
+        np.random.SeedSequence((seed, _BENCH_OP_NAMES.index(name))))
     x = Tensor(rng.standard_normal(shape).astype(dtype))
     if name in ("carafe_down", "carafe_up"):
         direction = name.split("_")[1]
         cfg = CarafeConfig(direction=direction, sigma=sigma)
         params = carafe_params(shape[1], cfg, rng, dtype)
-        return lambda: carafe_forward(x, params, cfg)[0], direction, shape
+        return lambda: carafe_forward(x, params, cfg)[0], direction
     if name in ("spatial_attention_down", "spatial_attention_up"):
         direction = name.rsplit("_", 1)[1]
         op = make_resample_op("spatial_attention", sigma, channels=shape[1],
@@ -225,7 +252,7 @@ def _bench_case(name: str, shape: tuple, sigma: int, seed: int, dtype):
     else:
         op = make_resample_op(name, sigma, channels=shape[1], rng=rng,
                               dtype=dtype)
-    return lambda: resample_forward(op, x)[0], op.direction, shape
+    return lambda: resample_forward(op, x)[0], op.direction
 
 
 def _cmd_bench(parser, args) -> int:
@@ -250,11 +277,12 @@ def _cmd_bench(parser, args) -> int:
         parser.error(f"bench shape {shape} must be divisible by sigma {sigma}")
     dtype = _DTYPES[merged["dtype"]]
     seed = int(merged["seed"])
+    shape_txt = "x".join(str(s) for s in shape)
 
     csv_rows = []
     json_rows = []
     for name in names:
-        fn, direction, used_shape = _bench_case(name, shape, sigma, seed, dtype)
+        fn, direction = _bench_case(name, shape, sigma, seed, dtype)
         for _ in range(warmup):
             y = fn()
         times = []
@@ -267,7 +295,6 @@ def _cmd_bench(parser, args) -> int:
         median = times[n // 2] if n % 2 else (times[n // 2 - 1] + times[n // 2]) // 2
         p90 = times[min(n - 1, max(0, -(-9 * n // 10) - 1))]
         checksum = repr(float(np.sum(y.data, dtype=np.float64)))
-        shape_txt = "x".join(str(s) for s in used_shape)
         csv_rows.append([name, direction, shape_txt, sigma, median, p90, checksum])
         json_rows.append({"operator": name, "direction": direction,
                           "shape": shape_txt, "sigma": sigma,
@@ -332,8 +359,8 @@ def _cmd_train(parser, args) -> int:
     merged["arch"] = arch
     if merged["operator"] not in _SLOT_KINDS:
         parser.error(f"operator must be one of {_SLOT_KINDS}")
-    if merged["normalizer"] not in _NORMALIZERS:
-        parser.error(f"normalizer must be one of {_NORMALIZERS}")
+    if merged["normalizer"] not in NORMALIZERS:
+        parser.error(f"normalizer must be one of {NORMALIZERS}")
     compressor_norm = _tri_state(parser, merged["compressor_norm"])
     dtype = _DTYPES[merged["dtype"]]
     seed = int(merged["seed"])
@@ -423,9 +450,9 @@ def _cmd_sweep(parser, args) -> int:
     kernel_pairs = _parse_kernel_grid(parser, merged["kernel_grid"])
     normalizers = [s.strip() for s in str(merged["normalizer_grid"]).split(",")
                    if s.strip()]
-    bad = [n for n in normalizers if n not in _NORMALIZERS]
+    bad = [n for n in normalizers if n not in NORMALIZERS]
     if bad or not normalizers:
-        parser.error(f"normalizer_grid entries must be in {_NORMALIZERS}")
+        parser.error(f"normalizer_grid entries must be in {NORMALIZERS}")
     dtype = _DTYPES[merged["dtype"]]
     seed = int(merged["seed"])
     task = ToyTask(kind=merged["task"], size=int(merged["size"]),
@@ -506,12 +533,24 @@ def _cmd_sweep(parser, args) -> int:
 # parser assembly
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override it")
-    sub.add_argument("--seed", type=int, help="base RNG seed (default 0)")
-    sub.add_argument("--threads", type=int,
-                     help="worker threads (default: $CARAFE_THREADS or 1)")
-    sub.add_argument("--out", help="output directory for reports")
+def _add_flags(sub: argparse.ArgumentParser, defaults: dict) -> None:
+    keys = [k for k in defaults if k not in _COMMON_KEYS]
+    for key in keys + ["config", *_COMMON_KEYS]:
+        spec = dict(_FLAGS[key])
+        if defaults.get(key) is not None:
+            spec["help"] += f" (default {defaults[key]})"
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, **spec)
+
+
+_COMMANDS = (
+    ("gradcheck", "compare analytic gradients to finite differences",
+     _GRADCHECK_DEFAULTS, _cmd_gradcheck),
+    ("bench", "time operators and emit CSV + JSON", _BENCH_DEFAULTS,
+     _cmd_bench),
+    ("train", "train one mini net on a toy task", _TRAIN_DEFAULTS, _cmd_train),
+    ("sweep", "grid-train the content-aware operator settings",
+     _SWEEP_DEFAULTS, _cmd_sweep),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -522,78 +561,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"carafe {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    g = subs.add_parser("gradcheck",
-                        help="compare analytic gradients to finite differences")
-    g.add_argument("--ops", help="comma-separated op names, or 'all'")
-    g.add_argument("--tol", type=float, help="relative-error pass bar (1e-5)")
-    g.add_argument("--eps", type=float, help="finite-difference step (1e-5)")
-    _add_common(g)
-    g.set_defaults(func=_cmd_gradcheck)
-
-    b = subs.add_parser("bench", help="time operators and emit CSV + JSON")
-    b.add_argument("--ops", help="comma-separated bench roster")
-    b.add_argument("--shape", help="input shape N,C,H,W (default 1,16,16,16)")
-    b.add_argument("--sigma", type=int, help="resize ratio (default 2)")
-    b.add_argument("--reps", type=int, help="timed repetitions (default 5)")
-    b.add_argument("--warmup", type=int, help="warmup runs (default 1)")
-    b.add_argument("--dtype", choices=sorted(_DTYPES),
-                   help="element type (default double)")
-    _add_common(b)
-    b.set_defaults(func=_cmd_bench)
-
-    t = subs.add_parser("train", help="train one mini net on a toy task")
-    t.add_argument("--task", choices=TASK_KINDS)
-    t.add_argument("--arch", choices=ARCHITECTURES)
-    t.add_argument("--operator", choices=_SLOT_KINDS,
-                   help="what fills the resampler slot (default carafe)")
-    t.add_argument("--size", type=int, help="image size (default 16)")
-    t.add_argument("--sigma", type=int, help="resize ratio (default 2)")
-    t.add_argument("--channels", type=int, help="trunk width (default 8)")
-    t.add_argument("--epochs", type=int, help="SGD steps (default 60)")
-    t.add_argument("--lr", type=float, help="learning rate (default 0.05)")
-    t.add_argument("--momentum", type=float, help="SGD momentum (default 0.9)")
-    t.add_argument("--weight-decay", dest="weight_decay", type=float,
-                   help="L2 coefficient (default 1e-4)")
-    t.add_argument("--train-count", dest="train_count", type=int,
-                   help="training samples (default 24)")
-    t.add_argument("--eval-count", dest="eval_count", type=int,
-                   help="held-out samples (default 8)")
-    t.add_argument("--c-mid", dest="c_mid", type=int,
-                   help="compressed channels (default 16 down / 64 up)")
-    t.add_argument("--k-encoder", dest="k_encoder", type=int,
-                   help="encoder kernel size (default 3)")
-    t.add_argument("--k-reassembly", dest="k_reassembly", type=int,
-                   help="reassembly kernel size (default 5)")
-    t.add_argument("--normalizer", choices=_NORMALIZERS)
-    t.add_argument("--compressor-norm", dest="compressor_norm",
-                   choices=("on", "off", "default"))
-    t.add_argument("--dtype", choices=sorted(_DTYPES))
-    _add_common(t)
-    t.set_defaults(func=_cmd_train)
-
-    s = subs.add_parser("sweep",
-                        help="grid-train the content-aware operator settings")
-    s.add_argument("--task", choices=TASK_KINDS)
-    s.add_argument("--arch", choices=ARCHITECTURES)
-    s.add_argument("--size", type=int)
-    s.add_argument("--sigma", type=int)
-    s.add_argument("--channels", type=int)
-    s.add_argument("--epochs", type=int)
-    s.add_argument("--lr", type=float)
-    s.add_argument("--momentum", type=float)
-    s.add_argument("--weight-decay", dest="weight_decay", type=float)
-    s.add_argument("--train-count", dest="train_count", type=int)
-    s.add_argument("--eval-count", dest="eval_count", type=int)
-    s.add_argument("--c-mid-grid", dest="c_mid_grid",
-                   help="comma list of compressed-channel counts")
-    s.add_argument("--kernel-grid", dest="kernel_grid",
-                   help="comma list of k_enc:k_re pairs, e.g. 1:3,3:5,5:7")
-    s.add_argument("--normalizer-grid", dest="normalizer_grid",
-                   help="comma list drawn from softmax,sigmoid,sigmoid_norm")
-    s.add_argument("--dtype", choices=sorted(_DTYPES))
-    _add_common(s)
-    s.set_defaults(func=_cmd_sweep)
+    for name, help_text, defaults, func in _COMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        _add_flags(sub, defaults)
+        sub.set_defaults(func=func)
     return parser
 
 

@@ -25,7 +25,6 @@ are still deterministic run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -218,37 +217,6 @@ def conv2d_forward(x: Tensor, p: ConvLayerParams, stride: int = 1, pad: int = 0)
                         ki:ki + stride * (h_out - 1) + 1:stride,
                         kj:kj + stride * (w_out - 1) + 1:stride]
                 out += p.weights[:, ci, ki, kj].reshape(1, c_out, 1, 1) * xs[:, None]
-    return Tensor(out)
-
-
-def conv2d_forward_blocked(x: Tensor, p: ConvLayerParams, stride: int = 1,
-                           pad: int = 0, block: int = 8) -> Tensor:
-    """Cache-blocked traversal of conv2d_forward.
-
-    Tiles the output plane and runs the same per-element fold inside each
-    tile, so results agree bitwise with conv2d_forward.
-    """
-    _check_conv_args(x, p)
-    if block < 1:
-        raise GeometryError(f"block must be >= 1, got {block}")
-    n, c_in, h, w = x.shape
-    c_out, _, k, _ = p.weights.shape
-    h_out, w_out = conv_output_hw(h, w, k, stride, pad)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out = np.empty((n, c_out, h_out, w_out), dtype=x.dtype)
-    for oi0 in range(0, h_out, block):
-        oi1 = min(oi0 + block, h_out)
-        for oj0 in range(0, w_out, block):
-            oj1 = min(oj0 + block, w_out)
-            tile = out[:, :, oi0:oi1, oj0:oj1]
-            tile[...] = p.bias.reshape(1, c_out, 1, 1)
-            for ci in range(c_in):
-                for ki in range(k):
-                    for kj in range(k):
-                        xs = xp[:, ci,
-                                oi0 * stride + ki:(oi1 - 1) * stride + ki + 1:stride,
-                                oj0 * stride + kj:(oj1 - 1) * stride + kj + 1:stride]
-                        tile += p.weights[:, ci, ki, kj].reshape(1, c_out, 1, 1) * xs[:, None]
     return Tensor(out)
 
 
@@ -462,10 +430,6 @@ def sigmoid_array(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    return Tensor(sigmoid_array(x.data))
-
-
 def softmax_group(x: Tensor, group: int) -> Tensor:
     """Softmax over contiguous channel groups of the given size, per location.
 
@@ -565,13 +529,6 @@ def affine_norm_backward(grad_out: Tensor, x: Tensor, p: AffineNormParams,
         + (2.0 * d / count) * gvar[None, :, None, None] \
         + (gmean / count)[None, :, None, None]
     return Tensor(gx)
-
-
-def affine_norm_mean_var(x: Tensor) -> tuple[np.ndarray, np.ndarray]:
-    """The (mean, biased variance) per channel that affine_norm standardizes by."""
-    mean = x.data.mean(axis=(0, 2, 3), dtype=x.dtype)
-    d = x.data - mean[None, :, None, None]
-    return mean, (d * d).mean(axis=(0, 2, 3), dtype=x.dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,9 @@ aliasing in the public API: operations return fresh tensors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import DTypeError, KernelSizeError, ShapeError
+from .errors import DTypeError, ShapeError
 
 SINGLE = np.dtype(np.float32)
 DOUBLE = np.dtype(np.float64)
@@ -65,89 +63,3 @@ class Tensor:
     def __repr__(self) -> str:
         n, c, h, w = self.shape
         return f"Tensor(shape=({n},{c},{h},{w}), dtype={self.data.dtype.name})"
-
-
-@dataclass(frozen=True)
-class Window:
-    """A k x k patch read around a center location, zero-filled off the edge.
-
-    center is in source coordinates; radius r satisfies k == 2r + 1. values
-    at in-bounds offsets equal the tensor's entries exactly; out-of-bounds
-    cells are exactly 0.
-    """
-
-    center: tuple[int, int]
-    radius: int
-    values: np.ndarray
-
-    @property
-    def k(self) -> int:
-        return 2 * self.radius + 1
-
-
-def tensor_new(shape: tuple[int, int, int, int], fill: float = 0.0, dtype=DOUBLE) -> Tensor:
-    """Allocate an (n,c,h,w) tensor with every element equal to fill."""
-    if len(shape) != 4:
-        raise ShapeError(f"shape must have 4 components, got {shape}")
-    if min(shape) < 1:
-        raise ShapeError(f"all dimensions must be >= 1, got shape {tuple(shape)}")
-    dt = np.dtype(dtype)
-    if dt not in SUPPORTED_DTYPES:
-        raise DTypeError(f"unsupported dtype {dt}; use float32 or float64")
-    return Tensor(np.full(shape, fill, dtype=dt))
-
-
-def zeros_like(t: Tensor) -> Tensor:
-    return Tensor(np.zeros(t.shape, dtype=t.dtype))
-
-
-def read_window(t: Tensor, batch: int, channel: int, center: tuple[int, int], k: int) -> Window:
-    """Read the k x k neighborhood of (batch, channel) centered at (i, j).
-
-    k must be odd. Cells outside the spatial bounds come back as zero, which
-    is the padding rule used by every resampling op in this package.
-    """
-    if k < 1 or k % 2 == 0:
-        raise KernelSizeError(f"window size must be odd and >= 1, got {k}")
-    n, c, h, w = t.shape
-    if not (0 <= batch < n and 0 <= channel < c):
-        raise ShapeError(f"batch/channel ({batch},{channel}) out of range for {t.shape}")
-    ci, cj = center
-    if not (0 <= ci < h and 0 <= cj < w):
-        raise ShapeError(f"center {center} outside [0,{h}) x [0,{w})")
-    r = k // 2
-    values = np.zeros((k, k), dtype=t.dtype)
-    i_lo = max(0, ci - r)
-    i_hi = min(h, ci + r + 1)
-    j_lo = max(0, cj - r)
-    j_hi = min(w, cj + r + 1)
-    values[i_lo - (ci - r):i_hi - (ci - r), j_lo - (cj - r):j_hi - (cj - r)] = \
-        t.data[batch, channel, i_lo:i_hi, j_lo:j_hi]
-    return Window(center=(ci, cj), radius=r, values=values)
-
-
-def _check_pair(a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.dtype != b.dtype:
-        raise DTypeError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
-
-
-def elementwise(a: Tensor, b: Tensor, op: str) -> Tensor:
-    """Elementwise add/sub/mul of two same-shape, same-dtype tensors."""
-    _check_pair(a, b)
-    if op == "add":
-        return Tensor(a.data + b.data)
-    if op == "sub":
-        return Tensor(a.data - b.data)
-    if op == "mul":
-        return Tensor(a.data * b.data)
-    raise ValueError(f"unknown elementwise op {op!r}; expected add, sub, or mul")
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    return Tensor(a.data * a.dtype.type(s))
-
-
-def reduce_mean(a: Tensor) -> float:
-    return float(a.data.mean(dtype=np.float64))

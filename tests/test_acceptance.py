@@ -14,9 +14,8 @@ from carafe.fileio import load_pgm, load_tensor, save_pgm, save_tensor
 from carafe.gradcheck import check_op, registered_ops
 from carafe.nn import (affine_norm, affine_params, conv_output_hw,
                        conv_params, conv2d_backward, conv2d_forward,
-                       conv2d_forward_blocked, pixel_shuffle, pixel_unshuffle,
-                       relu, softmax_group, transposed_conv_forward,
-                       transposed_conv_params)
+                       pixel_shuffle, pixel_unshuffle, relu, softmax_group,
+                       transposed_conv_forward, transposed_conv_params)
 from carafe.reassembly import (CarafeConfig, KernelField, carafe_forward,
                                carafe_params, map_target_to_source,
                                predict_kernels, reassemble,
@@ -207,8 +206,6 @@ def test_criterion_6_implementation_equivalence():
         p = conv_params(c_out, c_in, k, rng)
         direct = ref.conv2d_forward_direct(x, p, stride, pad)
         same(conv2d_forward(x, p, stride, pad), direct, f"conv fwd {case}")
-        same(conv2d_forward_blocked(x, p, stride, pad), direct,
-             f"conv blocked {case}")
         h_out, w_out = conv_output_hw(h, w, k, stride, pad)
         gy = Tensor(rng.standard_normal((n, c_out, h_out, w_out)))
         gx = conv2d_backward(gy, x, p, stride, pad)

@@ -12,9 +12,9 @@ import pytest
 from carafe import reference as ref
 from carafe.nn import (affine_norm, affine_params, conv_output_hw,
                        conv_params, conv2d_backward, conv2d_forward,
-                       conv2d_forward_blocked, pixel_shuffle, pixel_unshuffle,
-                       relu, softmax_group, transposed_conv_backward,
-                       transposed_conv_forward, transposed_conv_params)
+                       pixel_shuffle, pixel_unshuffle, relu, softmax_group,
+                       transposed_conv_backward, transposed_conv_forward,
+                       transposed_conv_params)
 from carafe.reassembly import (CarafeConfig, carafe_backward, carafe_forward,
                                carafe_params, predict_kernels, reassemble,
                                reassemble_backward)
@@ -74,10 +74,8 @@ class TestConvPaths:
         for _ in range(N_CASES):
             x, p, stride, pad = _conv_case(rng)
             fast = conv2d_forward(x, p, stride, pad)
-            blocked = conv2d_forward_blocked(x, p, stride, pad)
             direct = ref.conv2d_forward_direct(x, p, stride, pad)
             _assert_same(fast, direct)
-            _assert_same(blocked, direct)
 
     def test_backward(self):
         rng = np.random.default_rng(602)
@@ -214,4 +212,3 @@ class TestFloat32Paths:
             fast = conv2d_forward(x32, p32, stride, pad)
             direct = ref.conv2d_forward_direct(x32, p32, stride, pad)
             _assert_same(fast, direct)
-            _assert_same(conv2d_forward_blocked(x32, p32, stride, pad), direct)

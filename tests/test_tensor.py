@@ -1,13 +1,12 @@
-"""Tensor substrate: layout, windows, elementwise ops."""
+"""Tensor substrate: validation, layout, dtype conversion."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carafe.errors import DTypeError, KernelSizeError, ShapeError
-from carafe.tensor import (DOUBLE, SINGLE, Tensor, elementwise, read_window,
-                           reduce_mean, scale, tensor_new, zeros_like)
+from carafe.errors import DTypeError, ShapeError
+from carafe.tensor import DOUBLE, SINGLE, Tensor
 
 shapes = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 6),
                    st.integers(1, 6))
@@ -15,27 +14,23 @@ shapes = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 6),
 
 class TestTensorNew:
     def test_zero_fill(self):
-        t = tensor_new((1, 1, 2, 2), fill=0.0)
+        t = Tensor(np.full((1, 1, 2, 2), 0.0))
         assert t.shape == (1, 1, 2, 2)
         assert np.all(t.data == 0.0)
         assert t.size == 4
 
     def test_constant_fill_and_length(self):
-        t = tensor_new((2, 3, 4, 5), fill=1.5)
+        t = Tensor(np.full((2, 3, 4, 5), 1.5))
         assert t.size == 120
         assert np.all(t.data == 1.5)
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ShapeError):
-            tensor_new((1, 1, 1, 0))
-
-    def test_negative_dimension_rejected(self):
-        with pytest.raises(ShapeError):
-            tensor_new((1, -1, 2, 2))
+            Tensor(np.full((1, 1, 1, 0), 0.0))
 
     def test_dtype_selection(self):
-        assert tensor_new((1, 1, 1, 1), dtype=SINGLE).dtype == np.float32
-        assert tensor_new((1, 1, 1, 1), dtype=DOUBLE).dtype == np.float64
+        assert Tensor(np.full((1, 1, 1, 1), 0.0, dtype=SINGLE)).dtype == np.float32
+        assert Tensor(np.full((1, 1, 1, 1), 0.0, dtype=DOUBLE)).dtype == np.float64
 
     def test_unsupported_dtype_rejected(self):
         with pytest.raises(DTypeError):
@@ -61,7 +56,7 @@ class TestLayout:
     @given(shapes, st.data())
     @settings(max_examples=30, deadline=None)
     def test_write_read_round_trip(self, shape, data):
-        t = tensor_new(shape)
+        t = Tensor(np.zeros(shape))
         b = data.draw(st.integers(0, shape[0] - 1))
         ch = data.draw(st.integers(0, shape[1] - 1))
         i = data.draw(st.integers(0, shape[2] - 1))
@@ -77,118 +72,11 @@ class TestLayout:
         assert t.data.flags["C_CONTIGUOUS"]
 
 
-class TestReadWindow:
-    def test_interior_window_all_ones(self):
-        t = tensor_new((1, 1, 3, 3), fill=1.0)
-        win = read_window(t, 0, 0, (1, 1), 3)
-        assert win.values.shape == (3, 3)
-        assert np.all(win.values == 1.0)
-
-    def test_corner_zero_padding(self):
-        t = tensor_new((1, 1, 3, 3), fill=1.0)
-        win = read_window(t, 0, 0, (0, 0), 3)
-        assert np.all(win.values[0, :] == 0.0)
-        assert np.all(win.values[:, 0] == 0.0)
-        assert win.values[1:, 1:].sum() == 4.0
-
-    def test_padding_dominates(self):
-        t = tensor_new((1, 1, 1, 1), fill=7.0)
-        win = read_window(t, 0, 0, (0, 0), 5)
-        assert win.values[2, 2] == 7.0
-        assert win.values.sum() == 7.0
-
-    def test_even_k_rejected(self):
-        t = tensor_new((1, 1, 3, 3))
-        with pytest.raises(KernelSizeError):
-            read_window(t, 0, 0, (1, 1), 4)
-
-    def test_out_of_range_batch_rejected(self):
-        t = tensor_new((1, 1, 3, 3))
-        with pytest.raises(ShapeError):
-            read_window(t, 1, 0, (1, 1), 3)
-
-    def test_k_property(self):
-        t = tensor_new((1, 1, 3, 3))
-        win = read_window(t, 0, 0, (1, 1), 3)
-        assert win.k == 3 and win.k == 2 * win.radius + 1
-
-    @given(shapes, st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_k1_returns_center_element(self, shape, data):
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-        t = Tensor(rng.standard_normal(shape))
-        i = data.draw(st.integers(0, shape[2] - 1))
-        j = data.draw(st.integers(0, shape[3] - 1))
-        win = read_window(t, 0, 0, (i, j), 1)
-        assert win.values.shape == (1, 1)
-        assert win.values[0, 0] == t.data[0, 0, i, j]
-
-    @given(shapes, st.integers(0, 3), st.integers(0, 3), st.sampled_from([1, 3, 5]),
-           st.integers(0, 2**31))
-    @settings(max_examples=40, deadline=None)
-    def test_in_bounds_match_out_of_bounds_zero(self, shape, ci, cj, k, seed):
-        rng = np.random.default_rng(seed)
-        t = Tensor(rng.standard_normal(shape))
-        ci, cj = ci % shape[2], cj % shape[3]
-        win = read_window(t, 0, 0, (ci, cj), k)
-        r = k // 2
-        for di in range(-r, r + 1):
-            for dj in range(-r, r + 1):
-                si, sj = ci + di, cj + dj
-                got = win.values[di + r, dj + r]
-                if 0 <= si < shape[2] and 0 <= sj < shape[3]:
-                    assert got == t.data[0, 0, si, sj]
-                else:
-                    assert got == 0.0
-
-
 class TestElementwise:
-    def test_add(self):
-        a = Tensor(np.array([[[[1.0, 2.0]]]]))
-        b = Tensor(np.array([[[[3.0, 4.0]]]]))
-        assert np.array_equal(elementwise(a, b, "add").data, [[[[4.0, 6.0]]]])
-
-    def test_sub_and_mul(self):
-        a = Tensor(np.array([[[[5.0, 2.0]]]]))
-        b = Tensor(np.array([[[[3.0, 4.0]]]]))
-        assert np.array_equal(elementwise(a, b, "sub").data, [[[[2.0, -2.0]]]])
-        assert np.array_equal(elementwise(a, b, "mul").data, [[[[15.0, 8.0]]]])
-
-    def test_scale_by_zero(self):
-        a = Tensor(np.array([[[[1.0, 2.0]]]]))
-        assert np.array_equal(scale(a, 0.0).data, [[[[0.0, 0.0]]]])
-
-    def test_shape_mismatch_rejected(self):
-        a = tensor_new((1, 1, 2, 2))
-        b = tensor_new((1, 1, 2, 3))
-        with pytest.raises(ShapeError):
-            elementwise(a, b, "add")
-
-    def test_unknown_op_rejected(self):
-        a = tensor_new((1, 1, 2, 2))
-        with pytest.raises(ValueError):
-            elementwise(a, a, "div")
-
-    def test_reduce_mean_constant(self):
-        t = tensor_new((2, 3, 4, 5), fill=2.5)
-        assert reduce_mean(t) == 2.5
-
-    @given(shapes, st.integers(0, 2**31))
-    @settings(max_examples=25, deadline=None)
-    def test_reduce_mean_matches_sum_over_count(self, shape, seed):
-        rng = np.random.default_rng(seed)
-        t = Tensor(rng.standard_normal(shape))
-        expected = float(np.sum(t.data, dtype=np.float64)) / t.size
-        assert abs(reduce_mean(t) - expected) < 1e-12
-
-    def test_zeros_like(self):
-        t = tensor_new((1, 2, 3, 4), fill=9.0, dtype=SINGLE)
-        z = zeros_like(t)
-        assert z.shape == t.shape and z.dtype == t.dtype
-        assert np.all(z.data == 0.0)
+    """Whole-tensor conversions: dtype cast and copy."""
 
     def test_astype_and_copy(self):
-        t = tensor_new((1, 1, 2, 2), fill=1.0)
+        t = Tensor(np.full((1, 1, 2, 2), 1.0))
         s = t.astype(SINGLE)
         assert s.dtype == np.float32
         c = t.copy()
