@@ -5,10 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from carafe.demo import (ARCHITECTURES, TASK_KINDS, MiniFpn, MiniNet,
-                         SlotSpec, ToyTask, bce_logits_loss, build_net,
-                         compare_operators, dataset_batch, evaluate, iou,
-                         make_dataset, mse_loss, psnr, train)
+from carafe.demo import (ARCHITECTURES, TASK_KINDS, SlotSpec, ToyTask,
+                         bce_logits_loss, build_net, compare_operators,
+                         dataset_batch, evaluate, iou, make_dataset, mse_loss,
+                         psnr, train)
 from carafe.errors import TrainingDiverged
 from carafe.tensor import Tensor
 

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from carafe.errors import NumericError
-from carafe.gradcheck import (CheckProblem, DEFAULT_TOL, check_op,
-                              check_problem, finite_diff, finite_diff_array,
-                              registered_ops, relative_error)
+from carafe.gradcheck import (CheckProblem, check_op, check_problem,
+                              finite_diff, finite_diff_array, registered_ops,
+                              relative_error)
 from carafe.tensor import Tensor
 
 

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 
 from carafe import reference as ref
-from carafe.nn import (affine_norm, affine_params, conv_output_hw,
-                       conv_params, conv2d_backward, conv2d_forward,
-                       pixel_shuffle, pixel_unshuffle, relu, softmax_group,
-                       transposed_conv_backward, transposed_conv_forward,
+from carafe.nn import (ConvLayerParams, affine_norm, affine_params,
+                       conv_output_hw, conv_params, conv2d_backward,
+                       conv2d_forward, pixel_shuffle, pixel_unshuffle, relu,
+                       softmax_group, transposed_conv_backward,
+                       transposed_conv_forward, transposed_conv_output_hw,
                        transposed_conv_params)
-from carafe.reassembly import (CarafeConfig, carafe_backward, carafe_forward,
+from carafe.reassembly import (CarafeConfig, KernelField, carafe_forward,
                                carafe_params, predict_kernels, reassemble,
                                reassemble_backward)
 from carafe.tensor import Tensor
@@ -104,6 +105,26 @@ class TestConvPaths:
             fast = transposed_conv_forward(x, p, stride, pad)
             direct = ref.transposed_conv_forward_direct(x, p, stride, pad)
             _assert_same(fast, direct)
+
+    def test_transposed_backward_is_conv(self):
+        # The input gradient of the transposed conv is the conv of grad_out
+        # with the same weights array and no bias, tap order included.
+        rng = np.random.default_rng(616)
+        for _ in range(N_CASES):
+            c_src = int(rng.integers(1, 4))
+            c_dst = int(rng.integers(1, 4))
+            k = int(rng.choice([1, 2, 3, 4]))
+            stride = int(rng.integers(1, 3))
+            pad = int(rng.integers(0, min(k, 2)))
+            x = _rand(rng, (int(rng.integers(1, 3)), c_src,
+                            int(rng.integers(2, 6)), int(rng.integers(2, 6))))
+            p = transposed_conv_params(c_src, c_dst, k, rng)
+            h_out, w_out = transposed_conv_output_hw(x.shape[2], x.shape[3],
+                                                     k, stride, pad)
+            gy = _rand(rng, (x.shape[0], c_dst, h_out, w_out))
+            gx = transposed_conv_backward(gy, x, p, stride, pad)
+            as_conv = ConvLayerParams(p.weights, np.zeros(c_src))
+            _assert_same(gx, ref.conv2d_forward_direct(gy, as_conv, stride, pad))
 
 
 class TestShufflePaths:
@@ -195,6 +216,45 @@ class TestReassemblyPaths:
             x, params, cfg = _carafe_case(rng, direction)
             y, _ = carafe_forward(x, params, cfg)
             _assert_same(y, ref.carafe_forward_direct(x, params, cfg))
+
+
+class TestReassemblyEdgePaths:
+    """Cases the criterion-6 generator never draws: down maps that sigma does
+    not divide (ceil mode), windows wider than the map, and single precision.
+    Kernel fields are drawn directly, signs included."""
+
+    @staticmethod
+    def _case(rng, direction):
+        sigma = int(rng.integers(1, 4))
+        k = int(rng.choice([1, 3, 5, 7]))
+        dtype = (np.float32, np.float64)[int(rng.integers(0, 2))]
+        n = int(rng.integers(1, 3))
+        h = int(rng.integers(1, 7))
+        w = int(rng.integers(1, 7))
+        cfg = CarafeConfig(direction, sigma, k_reassembly=k)
+        x = _rand(rng, (n, int(rng.integers(1, 4)), h, w), dtype)
+        h_out, w_out = cfg.output_hw(h, w)
+        kf = KernelField(_rand(rng, (n, k * k, h_out, w_out), dtype), k, True)
+        return x, kf, cfg
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_forward(self, direction):
+        rng = np.random.default_rng(614)
+        for _ in range(N_CASES):
+            x, kf, cfg = self._case(rng, direction)
+            _assert_same(reassemble(x, kf, cfg), ref.reassemble_direct(x, kf, cfg))
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_backward(self, direction):
+        rng = np.random.default_rng(615)
+        for _ in range(N_CASES):
+            x, kf, cfg = self._case(rng, direction)
+            h_out, w_out = cfg.output_hw(x.shape[2], x.shape[3])
+            gy = _rand(rng, (x.shape[0], x.shape[1], h_out, w_out), x.dtype)
+            gx, gk = reassemble_backward(gy, x, kf, cfg)
+            gx_d, gk_d = ref.reassemble_backward_direct(gy, x, kf, cfg)
+            _assert_same(gx, gx_d)
+            _assert_same(gk, gk_d)
 
 
 class TestFloat32Paths:
