@@ -273,8 +273,6 @@ def _cmd_bench(parser, args) -> int:
         parser.error("reps and warmup must both be >= 1")
     if sigma < 1:
         parser.error(f"sigma must be >= 1, got {sigma}")
-    if shape[2] % sigma or shape[3] % sigma:
-        parser.error(f"bench shape {shape} must be divisible by sigma {sigma}")
     dtype = _DTYPES[merged["dtype"]]
     seed = int(merged["seed"])
     shape_txt = "x".join(str(s) for s in shape)

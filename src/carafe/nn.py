@@ -3,15 +3,14 @@ grouped softmax, ReLU, per-channel affine normalization, SGD.
 
 Every op here is written against a fixed per-element accumulation order so
 that the vectorized implementations agree bitwise with the direct loop nests
-in reference.py. The orders are part of each op's contract:
+in reference.py. The orders are part of each op's contract, and each is
+stated once, at the loop that carries it:
 
-- conv2d_forward: each output element starts from the bias, then folds taps
-  in (in-channel, ki, kj) lexicographic order.
-- conv2d_backward grad_x: per input element, taps fold in (out-channel, ki,
-  kj) order. grad_weights/grad_bias: per parameter, the reduction tree is
-  column sums over output cols first, then rows, then batch.
-- transposed_conv_forward: taps fold in (source-channel, ki, kj) order into a
-  zero accumulator; bias is added once at the end.
+- _gather_taps: the tap fold of conv2d_forward (from the bias) and of the
+  transposed conv's input gradient (from zero).
+- _scatter_taps: the tap fold of conv2d_backward's input gradient and of
+  transposed_conv_forward (whose bias is added once after the fold).
+- conv2d_backward: the fixed reduction tree of grad_weights/grad_bias.
 - softmax_group: per group, max (exact), exp, then a channel-ascending fold
   for the normalizing sum.
 - affine_norm: per channel, statistics fold over (batch, row) first into
@@ -197,36 +196,69 @@ def _check_conv_args(x: Tensor, p: ConvLayerParams) -> None:
         raise DTypeError(f"dtype mismatch: input {x.dtype} vs weights {p.weights.dtype}")
 
 
-def conv2d_forward(x: Tensor, p: ConvLayerParams, stride: int = 1, pad: int = 0) -> Tensor:
-    """Cross-correlation with zero padding.
+def _taps(k: int, stride: int, h: int, w: int):
+    """(ki, kj, rows, cols) of each tap, row-major: the strided window of the
+    padded map that meets an h x w grid through tap (ki, kj)."""
+    for ki in range(k):
+        for kj in range(k):
+            yield (ki, kj, slice(ki, ki + stride * (h - 1) + 1, stride),
+                   slice(kj, kj + stride * (w - 1) + 1, stride))
 
-    Output (n, c_out, (h+2p-k)//s + 1, (w+2p-k)//s + 1). Accumulation per
-    output element: bias first, then taps in (in-channel, ki, kj) order.
+
+def _gather_taps(acc: np.ndarray, src: np.ndarray, weights: np.ndarray,
+                 stride: int) -> np.ndarray:
+    """acc[:, o, i, j] += weights[o, c, ki, kj] * src[:, c, ki + s*i, kj + s*j].
+
+    The one gather fold of the exact tier: per element of acc, taps fold in
+    (c, ki, kj) order on top of whatever acc holds. src is already padded.
+    """
+    _, _, h, w = acc.shape
+    for c in range(weights.shape[1]):
+        for ki, kj, rows, cols in _taps(weights.shape[2], stride, h, w):
+            w_c = weights[:, c, ki, kj].reshape(1, -1, 1, 1)
+            acc += w_c * src[:, c, rows, cols][:, None]
+    return acc
+
+
+def _scatter_taps(acc: np.ndarray, src: np.ndarray, weights: np.ndarray,
+                  stride: int) -> np.ndarray:
+    """acc[:, o, ki + s*i, kj + s*j] += weights[c, o, ki, kj] * src[:, c, i, j].
+
+    The adjoint of _gather_taps and the one scatter fold of the exact tier:
+    per element of acc, taps fold in (c, ki, kj) order. acc is the padded
+    (or uncropped) map.
+    """
+    _, _, h, w = src.shape
+    for c in range(weights.shape[0]):
+        for ki, kj, rows, cols in _taps(weights.shape[2], stride, h, w):
+            w_c = weights[c, :, ki, kj].reshape(1, -1, 1, 1)
+            acc[:, :, rows, cols] += w_c * src[:, c][:, None]
+    return acc
+
+
+def conv2d_forward(x: Tensor, p: ConvLayerParams, stride: int = 1, pad: int = 0) -> Tensor:
+    """Cross-correlation with zero padding: the gather fold from the bias.
+
+    Output (n, c_out, (h+2p-k)//s + 1, (w+2p-k)//s + 1).
     """
     _check_conv_args(x, p)
-    n, c_in, h, w = x.shape
+    n, _, h, w = x.shape
     c_out, _, k, _ = p.weights.shape
     h_out, w_out = conv_output_hw(h, w, k, stride, pad)
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     out = np.empty((n, c_out, h_out, w_out), dtype=x.dtype)
     out[...] = p.bias.reshape(1, c_out, 1, 1)
-    for ci in range(c_in):
-        for ki in range(k):
-            for kj in range(k):
-                xs = xp[:, ci,
-                        ki:ki + stride * (h_out - 1) + 1:stride,
-                        kj:kj + stride * (w_out - 1) + 1:stride]
-                out += p.weights[:, ci, ki, kj].reshape(1, c_out, 1, 1) * xs[:, None]
-    return Tensor(out)
+    return Tensor(_gather_taps(out, xp, p.weights, stride))
 
 
 def conv2d_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
                     stride: int = 1, pad: int = 0) -> Tensor:
     """Exact adjoint of conv2d_forward.
 
-    Returns grad wrt x and accumulates grad_weights/grad_bias in place.
-    grad_x folds taps per input element in (out-channel, ki, kj) order;
-    grad_weights/grad_bias use a fixed column/row/batch reduction tree.
+    Returns grad wrt x (the scatter fold into the padded input) and
+    accumulates grad_weights/grad_bias in place. Per parameter, their
+    reduction tree is column sums over output cols first, then rows, then
+    batch.
     """
     _check_conv_args(x, p)
     n, c_in, h, w = x.shape
@@ -240,34 +272,23 @@ def conv2d_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
         raise DTypeError(f"dtype mismatch: grad_out {grad_out.dtype} vs input {x.dtype}")
     go = grad_out.data
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    gxp = np.zeros_like(xp)
-    for co in range(c_out):
-        go_c = go[:, co][:, None]
-        for ki in range(k):
-            for kj in range(k):
-                gxp[:, :,
-                    ki:ki + stride * (h_out - 1) + 1:stride,
-                    kj:kj + stride * (w_out - 1) + 1:stride] += \
-                    p.weights[co, :, ki, kj].reshape(1, c_in, 1, 1) * go_c
+    gxp = _scatter_taps(np.zeros_like(xp), go, p.weights, stride)
     if pad:
         grad_x = gxp[:, :, pad:pad + h, pad:pad + w].copy()
     else:
         grad_x = gxp
-    for ki in range(k):
-        for kj in range(k):
-            xs = xp[:, :,
-                    ki:ki + stride * (h_out - 1) + 1:stride,
-                    kj:kj + stride * (w_out - 1) + 1:stride]
-            s1 = np.zeros((n, c_out, c_in, h_out), dtype=x.dtype)
-            for oj in range(w_out):
-                s1 += go[:, :, None, :, oj] * xs[:, None, :, :, oj]
-            s2 = np.zeros((n, c_out, c_in), dtype=x.dtype)
-            for oi in range(h_out):
-                s2 += s1[:, :, :, oi]
-            s3 = np.zeros((c_out, c_in), dtype=x.dtype)
-            for b in range(n):
-                s3 += s2[b]
-            p.grad_weights[:, :, ki, kj] += s3
+    for ki, kj, rows, cols in _taps(k, stride, h_out, w_out):
+        xs = xp[:, :, rows, cols]
+        s1 = np.zeros((n, c_out, c_in, h_out), dtype=x.dtype)
+        for oj in range(w_out):
+            s1 += go[:, :, None, :, oj] * xs[:, None, :, :, oj]
+        s2 = np.zeros((n, c_out, c_in), dtype=x.dtype)
+        for oi in range(h_out):
+            s2 += s1[:, :, :, oi]
+        s3 = np.zeros((c_out, c_in), dtype=x.dtype)
+        for b in range(n):
+            s3 += s2[b]
+        p.grad_weights[:, :, ki, kj] += s3
     b1 = np.zeros((n, c_out, h_out), dtype=x.dtype)
     for oj in range(w_out):
         b1 += go[:, :, :, oj]
@@ -315,34 +336,29 @@ def transposed_conv_forward(x: Tensor, p: ConvLayerParams, stride: int = 1,
     """Adjoint-of-conv upsampling. Weights (c_src, c_dst, k, k).
 
     Output spatial size stride*(in-1) + k - 2*pad. With the same weights
-    array this equals conv2d_backward's grad_x, which is the defining
-    property. Taps fold per output element in (source-channel, ki, kj)
-    order; bias is added once after the fold.
+    array this is conv2d_backward's grad_x: the same scatter fold into the
+    uncropped map, then the crop, then the bias added once.
     """
     _check_tconv_args(x, p)
-    n, c_src, h, w = x.shape
+    n, _, h, w = x.shape
     _, c_dst, k, _ = p.weights.shape
     h_out, w_out = transposed_conv_output_hw(h, w, k, stride, pad)
-    h_full = stride * (h - 1) + k
-    w_full = stride * (w - 1) + k
-    full = np.zeros((n, c_dst, h_full, w_full), dtype=x.dtype)
-    for cs in range(c_src):
-        xs = x.data[:, cs][:, None]
-        for ki in range(k):
-            for kj in range(k):
-                full[:, :,
-                     ki:ki + stride * (h - 1) + 1:stride,
-                     kj:kj + stride * (w - 1) + 1:stride] += \
-                    p.weights[cs, :, ki, kj].reshape(1, c_dst, 1, 1) * xs
+    full = np.zeros((n, c_dst, stride * (h - 1) + k, stride * (w - 1) + k),
+                    dtype=x.dtype)
+    _scatter_taps(full, x.data, p.weights, stride)
     out = full[:, :, pad:pad + h_out, pad:pad + w_out] + p.bias.reshape(1, c_dst, 1, 1)
     return Tensor(out)
 
 
 def transposed_conv_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
                              stride: int = 1, pad: int = 0) -> Tensor:
-    """Adjoint of transposed_conv_forward; accumulates parameter grads."""
+    """Adjoint of transposed_conv_forward; accumulates parameter grads.
+
+    grad_x is the gather fold from zero: conv2d_forward of grad_out with the
+    same weights array and no bias.
+    """
     _check_tconv_args(x, p)
-    n, c_src, h, w = x.shape
+    n, _, h, w = x.shape
     _, c_dst, k, _ = p.weights.shape
     h_out, w_out = transposed_conv_output_hw(h, w, k, stride, pad)
     if grad_out.shape != (n, c_dst, h_out, w_out):
@@ -350,27 +366,30 @@ def transposed_conv_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
             f"grad_out shape {grad_out.shape} != forward output "
             f"({n},{c_dst},{h_out},{w_out})")
     go_full = np.pad(grad_out.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    gx = np.zeros_like(x.data)
-    for cd in range(c_dst):
-        for ki in range(k):
-            for kj in range(k):
-                gs = go_full[:, cd,
-                             ki:ki + stride * (h - 1) + 1:stride,
-                             kj:kj + stride * (w - 1) + 1:stride]
-                gx += p.weights[:, cd, ki, kj].reshape(1, c_src, 1, 1) * gs[:, None]
-    for ki in range(k):
-        for kj in range(k):
-            gs = go_full[:, :,
-                         ki:ki + stride * (h - 1) + 1:stride,
-                         kj:kj + stride * (w - 1) + 1:stride]
-            p.grad_weights[:, :, ki, kj] += np.einsum(
-                "bsij,bdij->sd", x.data, gs, optimize=False)
+    gx = _gather_taps(np.zeros_like(x.data), go_full, p.weights, stride)
+    for ki, kj, rows, cols in _taps(k, stride, h, w):
+        p.grad_weights[:, :, ki, kj] += np.einsum(
+            "bsij,bdij->sd", x.data, go_full[:, :, rows, cols], optimize=False)
     p.grad_bias += grad_out.data.sum(axis=(0, 2, 3))
     return Tensor(gx)
 
 
 # ---------------------------------------------------------------------------
 # depth-to-space
+
+
+def _to_phases(a: np.ndarray, s: int) -> np.ndarray:
+    """Phase-major layout: (n, c, s*h, s*w) -> (n, c, s, s, h, w), with
+    [b, ch, di, dj, i, j] = a[b, ch, s*i + di, s*j + dj]. No copy when s == 1."""
+    n, c, h, w = a.shape
+    y = a.reshape(n, c, h // s, s, w // s, s).transpose(0, 1, 3, 5, 2, 4)
+    return np.ascontiguousarray(y)
+
+
+def _from_phases(a: np.ndarray) -> np.ndarray:
+    """Inverse of _to_phases: (n, c, s, s, h, w) -> (n, c, s*h, s*w)."""
+    n, c, s, _, h, w = a.shape
+    return np.ascontiguousarray(a.transpose(0, 1, 4, 2, 5, 3)).reshape(n, c, s * h, s * w)
 
 
 def pixel_shuffle(x: Tensor, sigma: int) -> Tensor:
@@ -386,10 +405,7 @@ def pixel_shuffle(x: Tensor, sigma: int) -> Tensor:
         raise ShapeError(f"channels {c} not divisible by sigma^2 = {sigma * sigma}")
     if sigma == 1:
         return Tensor(x.data.copy())
-    c_out = c // (sigma * sigma)
-    y = x.data.reshape(n, c_out, sigma, sigma, h, w)
-    y = y.transpose(0, 1, 4, 2, 5, 3)
-    return Tensor(np.ascontiguousarray(y).reshape(n, c_out, h * sigma, w * sigma))
+    return Tensor(_from_phases(x.data.reshape(n, c // (sigma * sigma), sigma, sigma, h, w)))
 
 
 def pixel_unshuffle(x: Tensor, sigma: int) -> Tensor:
@@ -401,9 +417,8 @@ def pixel_unshuffle(x: Tensor, sigma: int) -> Tensor:
         raise ShapeError(f"spatial size ({h},{w}) not divisible by sigma {sigma}")
     if sigma == 1:
         return Tensor(x.data.copy())
-    y = x.data.reshape(n, c, h // sigma, sigma, w // sigma, sigma)
-    y = y.transpose(0, 1, 3, 5, 2, 4)
-    return Tensor(np.ascontiguousarray(y).reshape(n, c * sigma * sigma, h // sigma, w // sigma))
+    y = _to_phases(x.data, sigma)
+    return Tensor(y.reshape(n, c * sigma * sigma, h // sigma, w // sigma))
 
 
 # ---------------------------------------------------------------------------

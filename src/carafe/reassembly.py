@@ -15,12 +15,13 @@ Downsampling maps target (i', j') to source (sigma*i', sigma*j') and emits
 ceil(H/sigma) x ceil(W/sigma); upsampling maps to (i'//sigma, j'//sigma) and
 emits sigma*H x sigma*W. Borders are zero-padded.
 
-Accumulation orders are fixed so the vectorized code agrees bitwise with the
-direct loop nests in reference.py: reassembly folds window offsets row-major
-(dn outer, dm inner; kernel channel q = (dn+r)*k + (dm+r)); the backward
-scatter into the source map follows the same offset order, iterating
-sub-pixel phases row-major within each offset for the upsampling direction;
-the kernel-field gradient folds feature channels in ascending order.
+Both directions run one tap loop per pass. Targets are laid out phase-major,
+(n, c, ph, ph, H_out/ph, W_out/ph) as in pixel_unshuffle, so that for each
+window offset one strided view of the padded source feeds every phase: down
+has one phase and steps sigma, up has sigma x sigma phases and steps 1. The
+accumulation orders, fixed so the vectorized code agrees bitwise with the
+direct loop nests in reference.py, are stated at that loop in reassemble and
+reassemble_backward.
 """
 
 from __future__ import annotations
@@ -32,11 +33,11 @@ import numpy as np
 
 from .errors import (ContractError, DTypeError, GeometryError,
                      KernelSizeError, ShapeError)
-from .nn import (AffineNormParams, ConvLayerParams, affine_norm,
-                 affine_norm_backward, affine_params, conv2d_backward,
-                 conv2d_forward, conv_params, pixel_shuffle, pixel_unshuffle,
-                 relu, relu_backward, sigmoid_array, softmax_group,
-                 softmax_group_backward)
+from .nn import (AffineNormParams, ConvLayerParams, _from_phases, _taps,
+                 _to_phases, affine_norm, affine_norm_backward, affine_params,
+                 conv2d_backward, conv2d_forward, conv_params, pixel_shuffle,
+                 pixel_unshuffle, relu, relu_backward, sigmoid_array,
+                 softmax_group, softmax_group_backward)
 from .tensor import Tensor
 
 DIRECTIONS = ("down", "up")
@@ -297,11 +298,12 @@ def _check_reassemble_args(x: Tensor, kf: KernelField, cfg: CarafeConfig,
             f"dtype mismatch: input {x.dtype} vs kernel field {kf.tensor.dtype}")
 
 
-def _up_gather_indices(cfg: CarafeConfig, h: int, w: int, r: int
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    rows = np.arange(cfg.sigma * h) // cfg.sigma + r
-    cols = np.arange(cfg.sigma * w) // cfg.sigma + r
-    return rows, cols
+def _phase_step(cfg: CarafeConfig) -> tuple[int, int]:
+    """(ph, step): target (ph*i + di, ph*j + dj) reads the window at source
+    (step*i, step*j) shifted by each offset."""
+    if cfg.direction == "down":
+        return 1, cfg.sigma
+    return cfg.sigma, 1
 
 
 def reassemble(x: Tensor, kf: KernelField, cfg: CarafeConfig,
@@ -310,30 +312,21 @@ def reassemble(x: Tensor, kf: KernelField, cfg: CarafeConfig,
 
     out[b, c, i', j'] = sum over window offsets (dn, dm) of
     kf[b, q, i', j'] * x[b, c, i + dn, j + dm], with (i, j) the mapped source
-    location, q = (dn+r)*k + (dm+r), zero padding off the edges, and the fold
-    running in ascending q.
+    location, q = (dn+r)*k + (dm+r), zero padding off the edges. Per output
+    element the fold starts from zero and runs in ascending q (dn outer, dm
+    inner).
     """
     _check_reassemble_args(x, kf, cfg, allow_unnormalized)
-    n, c, h, w = x.shape
-    h_out, w_out = cfg.output_hw(h, w)
+    n, c, _, _ = x.shape
     k = cfg.k_reassembly
     r = k // 2
-    sig = cfg.sigma
+    ph, step = _phase_step(cfg)
     xp = np.pad(x.data, ((0, 0), (0, 0), (r, r), (r, r)))
-    kd = kf.tensor.data
-    out = np.zeros((n, c, h_out, w_out), dtype=x.dtype)
-    if cfg.direction == "down":
-        for q, (dn, dm) in enumerate(kernel_offsets(k)):
-            xs = xp[:, :,
-                    r + dn:r + dn + sig * (h_out - 1) + 1:sig,
-                    r + dm:r + dm + sig * (w_out - 1) + 1:sig]
-            out += kd[:, q][:, None] * xs
-    else:
-        rows, cols = _up_gather_indices(cfg, h, w, r)
-        for q, (dn, dm) in enumerate(kernel_offsets(k)):
-            xs = xp[:, :, (rows + dn)[:, None], (cols + dm)[None, :]]
-            out += kd[:, q][:, None] * xs
-    return Tensor(out)
+    kd = _to_phases(kf.tensor.data, ph)
+    out = np.zeros((n, c) + kd.shape[2:], dtype=x.dtype)
+    for q, (_, _, rows, cols) in enumerate(_taps(k, step, *kd.shape[4:])):
+        out += kd[:, q][:, None] * xp[:, :, None, None, rows, cols]
+    return Tensor(_from_phases(out))
 
 
 def reassemble_backward(grad_y: Tensor, x: Tensor, kf: KernelField,
@@ -341,11 +334,11 @@ def reassemble_backward(grad_y: Tensor, x: Tensor, kf: KernelField,
                         ) -> tuple[Tensor, Tensor]:
     """Adjoint of reassemble: grads wrt the source map and the kernel field.
 
-    Scatter into the source map folds offsets in ascending q; inside one
-    offset the downsampling writes are disjoint strided slices, and the
-    upsampling direction iterates sub-pixel phases (di, dj) row-major, each
-    phase writing one contiguous block. The kernel-field gradient folds
-    feature channels in ascending order.
+    The scatter into the source map folds offsets in ascending q and, inside
+    one offset, sub-pixel phases (di, dj) row-major (one phase when
+    downsampling); each phase writes one strided block. Per element, the
+    kernel-field gradient folds feature channels in ascending order from
+    zero.
     """
     _check_reassemble_args(x, kf, cfg, allow_unnormalized)
     n, c, h, w = x.shape
@@ -357,38 +350,23 @@ def reassemble_backward(grad_y: Tensor, x: Tensor, kf: KernelField,
         raise DTypeError(f"dtype mismatch: grad {grad_y.dtype} vs input {x.dtype}")
     k = cfg.k_reassembly
     r = k // 2
-    sig = cfg.sigma
-    go = grad_y.data
-    kd = kf.tensor.data
+    ph, step = _phase_step(cfg)
+    go = _to_phases(grad_y.data, ph)
+    kd = _to_phases(kf.tensor.data, ph)
     xp = np.pad(x.data, ((0, 0), (0, 0), (r, r), (r, r)))
     gxp = np.zeros_like(xp)
     gk = np.empty_like(kd)
-    if cfg.direction == "down":
-        for q, (dn, dm) in enumerate(kernel_offsets(k)):
-            sl_i = slice(r + dn, r + dn + sig * (h_out - 1) + 1, sig)
-            sl_j = slice(r + dm, r + dm + sig * (w_out - 1) + 1, sig)
-            gxp[:, :, sl_i, sl_j] += kd[:, q][:, None] * go
-            xs = xp[:, :, sl_i, sl_j]
-            acc = np.zeros((n, h_out, w_out), dtype=x.dtype)
-            for ch in range(c):
-                acc += go[:, ch] * xs[:, ch]
-            gk[:, q] = acc
-    else:
-        rows, cols = _up_gather_indices(cfg, h, w, r)
-        for q, (dn, dm) in enumerate(kernel_offsets(k)):
-            for di in range(sig):
-                for dj in range(sig):
-                    go_ph = go[:, :, di::sig, dj::sig]
-                    w_ph = kd[:, q, di::sig, dj::sig]
-                    gxp[:, :, r + dn:r + dn + h, r + dm:r + dm + w] += \
-                        w_ph[:, None] * go_ph
-            xs = xp[:, :, (rows + dn)[:, None], (cols + dm)[None, :]]
-            acc = np.zeros((n, h_out, w_out), dtype=x.dtype)
-            for ch in range(c):
-                acc += go[:, ch] * xs[:, ch]
-            gk[:, q] = acc
+    for q, (_, _, rows, cols) in enumerate(_taps(k, step, *kd.shape[4:])):
+        for di in range(ph):
+            for dj in range(ph):
+                gxp[:, :, rows, cols] += kd[:, q, di, dj][:, None] * go[:, :, di, dj]
+        xs = xp[:, :, None, None, rows, cols]
+        acc = np.zeros((n,) + kd.shape[2:], dtype=x.dtype)
+        for ch in range(c):
+            acc += go[:, ch] * xs[:, ch]
+        gk[:, q] = acc
     grad_x = gxp[:, :, r:r + h, r:r + w].copy() if r else gxp
-    return Tensor(grad_x), Tensor(gk)
+    return Tensor(grad_x), Tensor(_from_phases(gk))
 
 
 # ---------------------------------------------------------------------------

@@ -214,11 +214,14 @@ class TestBenchCommand:
             main(["bench", "--shape", "4,4", "--out", str(tmp_path)])
         assert exc.value.code == 2
 
-    def test_indivisible_shape_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["bench", "--ops", "carafe_down", "--shape", "1,2,7,7",
-                  "--sigma", "2", "--out", str(tmp_path)])
-        assert exc.value.code == 2
+    def test_indivisible_shape_runs(self, tmp_path):
+        # ceil mode: a 7x7 map downsamples by 2 to 4x4
+        rc = main(["bench", "--ops", "carafe_down", "--shape", "1,2,7,7",
+                   "--sigma", "2", "--out", str(tmp_path)])
+        assert rc == 0
+        rows = _read_json(tmp_path / "bench.json")["results"]
+        assert [(r["operator"], r["direction"], r["shape"], r["sigma"])
+                for r in rows] == [("carafe_down", "down", "1x2x7x7", 2)]
 
     def test_timings_absent_from_json(self, tmp_path):
         # wall-clock numbers live only in the CSV; the JSON report stays
