@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from carafe.errors import NumericError
-from carafe.gradcheck import (CheckProblem, check_op, check_problem,
-                              finite_diff, finite_diff_array, registered_ops,
-                              relative_error)
+from carafe.gradcheck import (REGISTRY, CheckProblem, check_op,
+                              check_problem, finite_diff, finite_diff_array,
+                              registered_ops, relative_error)
 from carafe.tensor import Tensor
 
 
@@ -147,3 +147,49 @@ class TestRegistry:
         b = check_op("conv2d", seed=2)
         assert a.passed and b.passed
         assert a.max_rel_error != b.max_rel_error
+
+
+_CONV_TARGETS = ["x", "weights", "bias"]
+_CARAFE_UP_TARGETS = ["x", "compressor.weights", "compressor.bias",
+                      "encoder.weights", "encoder.bias"]
+_CARAFE_DOWN_TARGETS = ["x", "compressor.weights", "encoder.weights",
+                        "encoder.bias", "norm.gamma", "norm.beta"]
+
+# Each op's target labels in order: the oracle breaks ties in worst_index by
+# this order, so it is part of every report.
+REGISTRY_TARGETS = {
+    "conv2d": _CONV_TARGETS,
+    "conv2d_strided": _CONV_TARGETS,
+    "transposed_conv": _CONV_TARGETS,
+    "relu": ["x"],
+    "affine_norm": ["x", "gamma", "beta"],
+    "softmax_group": ["x"],
+    "pixel_shuffle": ["x"],
+    "reassemble_down": ["x", "kernels"],
+    "reassemble_up": ["x", "kernels"],
+    "carafe_down": _CARAFE_DOWN_TARGETS,
+    "carafe_up": _CARAFE_UP_TARGETS,
+    "carafe_down_sigmoid": _CARAFE_DOWN_TARGETS,
+    "carafe_up_sigmoid_norm": _CARAFE_UP_TARGETS,
+    "nearest_up": ["x"],
+    "bilinear_up": ["x"],
+    "avg_pool": ["x"],
+    "max_pool": ["x"],
+    "strided_conv": _CONV_TARGETS,
+    "deconv_baseline": _CONV_TARGETS,
+    "nearest_plus_conv": _CONV_TARGETS,
+    "bilinear_plus_conv": _CONV_TARGETS,
+    "spatial_attention_down": _CONV_TARGETS,
+    "spatial_attention_up": _CONV_TARGETS,
+}
+
+
+class TestRegistryTargets:
+    def test_registered_names_in_order(self):
+        assert registered_ops() == list(REGISTRY_TARGETS)
+
+    @pytest.mark.parametrize("name", list(REGISTRY_TARGETS))
+    def test_target_labels_in_order(self, name):
+        problem = REGISTRY[name](0)
+        assert [label for label, _ in problem.targets] == REGISTRY_TARGETS[name]
+        assert sorted(problem.analytic()) == sorted(REGISTRY_TARGETS[name])
