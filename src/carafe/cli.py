@@ -340,28 +340,45 @@ def _arch_for(parser, merged: dict) -> str:
     return arch
 
 
-def _build_for_run(merged: dict, slot: SlotSpec, arch: str, seed: int, dtype):
-    ss = np.random.SeedSequence(seed)
+def _build_for_run(merged: dict, slot: SlotSpec, train_kwargs: dict):
+    ss = np.random.SeedSequence(train_kwargs["seed"])
     shared_ss, slot_ss = ss.spawn(2)
-    return build_net(arch, slot, int(merged["channels"]), int(merged["sigma"]),
-                     np.random.default_rng(shared_ss),
-                     np.random.default_rng(slot_ss), dtype)
+    return build_net(merged["arch"], slot, int(merged["channels"]),
+                     int(merged["sigma"]), np.random.default_rng(shared_ss),
+                     np.random.default_rng(slot_ss), train_kwargs["dtype"])
 
 
-def _cmd_train(parser, args) -> int:
-    merged = _merge_config(parser, args, _TRAIN_DEFAULTS)
+def _setup_run(parser, args, defaults: dict):
+    """Shared head of train and sweep: the merged config (threads and arch
+    resolved), the toy task, and the keyword arguments of train()."""
+    merged = _merge_config(parser, args, defaults)
     merged["threads"] = _resolve_threads(merged)
     if merged["task"] not in TASK_KINDS:
         parser.error(f"task must be one of {TASK_KINDS}")
-    arch = _arch_for(parser, merged)
-    merged["arch"] = arch
+    merged["arch"] = _arch_for(parser, merged)
+    seed = int(merged["seed"])
+    try:
+        task = ToyTask(kind=merged["task"], size=int(merged["size"]),
+                       sigma=int(merged["sigma"]), seed=seed)
+        train_kwargs = dict(
+            epochs=int(merged["epochs"]), lr=float(merged["lr"]),
+            momentum=float(merged["momentum"]),
+            weight_decay=float(merged["weight_decay"]), seed=seed,
+            train_count=int(merged["train_count"]),
+            eval_count=int(merged["eval_count"]),
+            dtype=_DTYPES[merged["dtype"]])
+    except (CarafeError, ValueError) as exc:
+        parser.error(str(exc))
+    return merged, task, train_kwargs
+
+
+def _cmd_train(parser, args) -> int:
+    merged, task, train_kwargs = _setup_run(parser, args, _TRAIN_DEFAULTS)
     if merged["operator"] not in _SLOT_KINDS:
         parser.error(f"operator must be one of {_SLOT_KINDS}")
     if merged["normalizer"] not in NORMALIZERS:
         parser.error(f"normalizer must be one of {NORMALIZERS}")
     compressor_norm = _tri_state(parser, merged["compressor_norm"])
-    dtype = _DTYPES[merged["dtype"]]
-    seed = int(merged["seed"])
     slot = SlotSpec(kind=merged["operator"],
                     k_encoder=int(merged["k_encoder"]),
                     k_reassembly=int(merged["k_reassembly"]),
@@ -369,21 +386,14 @@ def _cmd_train(parser, args) -> int:
                     normalizer=merged["normalizer"],
                     compressor_norm=compressor_norm)
     try:
-        task = ToyTask(kind=merged["task"], size=int(merged["size"]),
-                       sigma=int(merged["sigma"]), seed=seed)
-        net = _build_for_run(merged, slot, arch, seed, dtype)
+        net = _build_for_run(merged, slot, train_kwargs)
     except (CarafeError, ValueError) as exc:
         parser.error(str(exc))
 
     out = _out_dir(merged)
     payload = _stanza("train", merged)
     try:
-        report = train(net, task, epochs=int(merged["epochs"]),
-                       lr=float(merged["lr"]),
-                       momentum=float(merged["momentum"]),
-                       weight_decay=float(merged["weight_decay"]), seed=seed,
-                       train_count=int(merged["train_count"]),
-                       eval_count=int(merged["eval_count"]), dtype=dtype)
+        report = train(net, task, **train_kwargs)
     except TrainingDiverged as exc:
         payload["status"] = "diverged"
         payload["error"] = str(exc)
@@ -437,13 +447,7 @@ def _parse_int_grid(parser, text: str, label: str) -> list:
 
 
 def _cmd_sweep(parser, args) -> int:
-    merged = _merge_config(parser, args, _SWEEP_DEFAULTS)
-    threads = _resolve_threads(merged)
-    merged["threads"] = threads
-    if merged["task"] not in TASK_KINDS:
-        parser.error(f"task must be one of {TASK_KINDS}")
-    arch = _arch_for(parser, merged)
-    merged["arch"] = arch
+    merged, task, train_kwargs = _setup_run(parser, args, _SWEEP_DEFAULTS)
     c_mids = _parse_int_grid(parser, merged["c_mid_grid"], "c_mid_grid")
     kernel_pairs = _parse_kernel_grid(parser, merged["kernel_grid"])
     normalizers = [s.strip() for s in str(merged["normalizer_grid"]).split(",")
@@ -451,10 +455,6 @@ def _cmd_sweep(parser, args) -> int:
     bad = [n for n in normalizers if n not in NORMALIZERS]
     if bad or not normalizers:
         parser.error(f"normalizer_grid entries must be in {NORMALIZERS}")
-    dtype = _DTYPES[merged["dtype"]]
-    seed = int(merged["seed"])
-    task = ToyTask(kind=merged["task"], size=int(merged["size"]),
-                   sigma=int(merged["sigma"]), seed=seed)
 
     cells = []
     for idx, (c_mid, (k_enc, k_re), norm) in enumerate(
@@ -474,13 +474,8 @@ def _cmd_sweep(parser, args) -> int:
                         normalizer=cell["normalizer"])
         row = dict(cell)
         try:
-            net = _build_for_run(merged, slot, arch, seed, dtype)
-            report = train(net, task, epochs=int(merged["epochs"]),
-                           lr=float(merged["lr"]),
-                           momentum=float(merged["momentum"]),
-                           weight_decay=float(merged["weight_decay"]),
-                           seed=seed, train_count=int(merged["train_count"]),
-                           eval_count=int(merged["eval_count"]), dtype=dtype)
+            net = _build_for_run(merged, slot, train_kwargs)
+            report = train(net, task, **train_kwargs)
         except (TrainingDiverged, CarafeError) as exc:
             row.update(status="diverged", error=str(exc), final_loss=None,
                        final_metric=None, metric_name=task.metric_name,
@@ -492,7 +487,7 @@ def _cmd_sweep(parser, args) -> int:
                    losses=list(report.losses))
         return row
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=merged["threads"]) as pool:
         rows = list(pool.map(run_cell, cells))
 
     out = _out_dir(merged)

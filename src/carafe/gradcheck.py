@@ -137,67 +137,63 @@ def check_problem(name: str, problem: CheckProblem, tol: float = DEFAULT_TOL,
 # problem builders
 
 
-def _projection(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.uniform(-1.0, 1.0, size=shape)
+def _problem(rng: np.random.Generator, forward: Callable[[], Tensor],
+             backward: Callable[[Tensor], object], inputs: list,
+             params=None) -> CheckProblem:
+    """Assemble one check from its forward/backward pair.
 
+    inputs lists (label, array) of the live input arrays forward() reads;
+    backward(grad_out) returns their gradients in that order (a bare Tensor
+    for one input) and accumulates the grads of params, a container with
+    named_slots(). The loss projection is drawn from rng last, shaped like
+    forward()'s output. Targets are the inputs, then params' trainable
+    arrays in container order.
+    """
+    proj = rng.uniform(-1.0, 1.0, size=forward().shape)
+    named = [] if params is None else list(params.named_slots())
 
-def _proj_loss(y: Tensor, proj: np.ndarray) -> float:
-    return float(np.sum(proj * y.data))
+    def loss():
+        return float(np.sum(proj * forward().data))
+
+    def analytic():
+        if params is not None:
+            params.zero_grads()
+        grads = backward(Tensor(proj))
+        if isinstance(grads, Tensor):
+            grads = (grads,)
+        out = {label: g.data.copy() for (label, _), g in zip(inputs, grads)}
+        out.update((name, grad.copy()) for name, _, grad, _ in named)
+        return out
+
+    targets = list(inputs) + [(name, value) for name, value, _, _ in named]
+    return CheckProblem(loss=loss, targets=targets, analytic=analytic)
 
 
 def _build_conv2d(seed: int, stride: int, pad: int) -> CheckProblem:
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, size=(1, 2, 5, 5))
     p = nn.conv_params(3, 2, 3, rng)
-    h_out, w_out = nn.conv_output_hw(5, 5, 3, stride, pad)
-    proj = _projection(rng, (1, 3, h_out, w_out))
-
-    def loss():
-        return _proj_loss(nn.conv2d_forward(Tensor(x), p, stride, pad), proj)
-
-    def analytic():
-        p.zero_grads()
-        gx = nn.conv2d_backward(Tensor(proj), Tensor(x), p, stride, pad)
-        return {"x": gx.data.copy(), "weights": p.grad_weights.copy(),
-                "bias": p.grad_bias.copy()}
-
-    return CheckProblem(loss=loss, analytic=analytic,
-                        targets=[("x", x), ("weights", p.weights), ("bias", p.bias)])
+    return _problem(
+        rng, lambda: nn.conv2d_forward(Tensor(x), p, stride, pad),
+        lambda g: nn.conv2d_backward(g, Tensor(x), p, stride, pad),
+        [("x", x)], p)
 
 
 def _build_transposed_conv(seed: int) -> CheckProblem:
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, size=(1, 3, 3, 3))
     p = nn.transposed_conv_params(3, 2, 4, rng)
-    h_out, w_out = nn.transposed_conv_output_hw(3, 3, 4, 2, 1)
-    proj = _projection(rng, (1, 2, h_out, w_out))
-
-    def loss():
-        return _proj_loss(nn.transposed_conv_forward(Tensor(x), p, 2, 1), proj)
-
-    def analytic():
-        p.zero_grads()
-        gx = nn.transposed_conv_backward(Tensor(proj), Tensor(x), p, 2, 1)
-        return {"x": gx.data.copy(), "weights": p.grad_weights.copy(),
-                "bias": p.grad_bias.copy()}
-
-    return CheckProblem(loss=loss, analytic=analytic,
-                        targets=[("x", x), ("weights", p.weights), ("bias", p.bias)])
+    return _problem(
+        rng, lambda: nn.transposed_conv_forward(Tensor(x), p, 2, 1),
+        lambda g: nn.transposed_conv_backward(g, Tensor(x), p, 2, 1),
+        [("x", x)], p)
 
 
 def _build_relu(seed: int) -> CheckProblem:
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, size=(1, 4, 5, 5))
-    proj = _projection(rng, x.shape)
-
-    def loss():
-        return _proj_loss(nn.relu(Tensor(x)), proj)
-
-    def analytic():
-        gx = nn.relu_backward(Tensor(proj), Tensor(x))
-        return {"x": gx.data.copy()}
-
-    return CheckProblem(loss=loss, analytic=analytic, targets=[("x", x)])
+    return _problem(rng, lambda: nn.relu(Tensor(x)),
+                    lambda g: nn.relu_backward(g, Tensor(x)), [("x", x)])
 
 
 def _build_affine_norm(seed: int) -> CheckProblem:
@@ -206,49 +202,24 @@ def _build_affine_norm(seed: int) -> CheckProblem:
     p = nn.affine_params(3)
     p.gamma[:] = rng.uniform(0.5, 1.5, size=3)
     p.beta[:] = rng.uniform(-0.5, 0.5, size=3)
-    proj = _projection(rng, x.shape)
-
-    def loss():
-        return _proj_loss(nn.affine_norm(Tensor(x), p), proj)
-
-    def analytic():
-        p.zero_grads()
-        gx = nn.affine_norm_backward(Tensor(proj), Tensor(x), p)
-        return {"x": gx.data.copy(), "gamma": p.grad_gamma.copy(),
-                "beta": p.grad_beta.copy()}
-
-    return CheckProblem(loss=loss, analytic=analytic,
-                        targets=[("x", x), ("gamma", p.gamma), ("beta", p.beta)])
+    return _problem(rng, lambda: nn.affine_norm(Tensor(x), p),
+                    lambda g: nn.affine_norm_backward(g, Tensor(x), p),
+                    [("x", x)], p)
 
 
 def _build_softmax_group(seed: int) -> CheckProblem:
     rng = np.random.default_rng(seed)
     x = rng.uniform(-2, 2, size=(1, 25, 3, 3))
-    proj = _projection(rng, x.shape)
-
-    def loss():
-        return _proj_loss(nn.softmax_group(Tensor(x), 25), proj)
-
-    def analytic():
-        gx = nn.softmax_group_backward(Tensor(proj), Tensor(x), 25)
-        return {"x": gx.data.copy()}
-
-    return CheckProblem(loss=loss, analytic=analytic, targets=[("x", x)])
+    return _problem(rng, lambda: nn.softmax_group(Tensor(x), 25),
+                    lambda g: nn.softmax_group_backward(g, Tensor(x), 25),
+                    [("x", x)])
 
 
 def _build_pixel_shuffle(seed: int) -> CheckProblem:
     rng = np.random.default_rng(seed)
     x = rng.uniform(-1, 1, size=(1, 8, 3, 3))
-    proj = _projection(rng, (1, 2, 6, 6))
-
-    def loss():
-        return _proj_loss(nn.pixel_shuffle(Tensor(x), 2), proj)
-
-    def analytic():
-        gx = nn.pixel_unshuffle(Tensor(proj), 2)
-        return {"x": gx.data.copy()}
-
-    return CheckProblem(loss=loss, analytic=analytic, targets=[("x", x)])
+    return _problem(rng, lambda: nn.pixel_shuffle(Tensor(x), 2),
+                    lambda g: nn.pixel_unshuffle(g, 2), [("x", x)])
 
 
 def _build_reassemble(seed: int, direction: str) -> CheckProblem:
@@ -258,22 +229,15 @@ def _build_reassemble(seed: int, direction: str) -> CheckProblem:
     x = rng.uniform(-1, 1, size=(1, 3, 6, 6))
     h_out, w_out = cfg.output_hw(6, 6)
     logits = rng.uniform(-1, 1, size=(1, 9, h_out, w_out))
-    kd = nn.softmax_group(Tensor(logits), 9)
-    kf_data = kd.data.copy()
-    proj = _projection(rng, (1, 3, h_out, w_out))
+    kf_data = nn.softmax_group(Tensor(logits), 9).data.copy()
 
     def field():
         return reassembly.KernelField(Tensor(kf_data), 3, True)
 
-    def loss():
-        return _proj_loss(reassembly.reassemble(Tensor(x), field(), cfg), proj)
-
-    def analytic():
-        gx, gk = reassembly.reassemble_backward(Tensor(proj), Tensor(x), field(), cfg)
-        return {"x": gx.data.copy(), "kernels": gk.data.copy()}
-
-    return CheckProblem(loss=loss, analytic=analytic,
-                        targets=[("x", x), ("kernels", kf_data)])
+    return _problem(
+        rng, lambda: reassembly.reassemble(Tensor(x), field(), cfg),
+        lambda g: reassembly.reassemble_backward(g, Tensor(x), field(), cfg),
+        [("x", x), ("kernels", kf_data)])
 
 
 def _build_carafe(seed: int, direction: str, normalizer: str = "softmax") -> CheckProblem:
@@ -282,68 +246,27 @@ def _build_carafe(seed: int, direction: str, normalizer: str = "softmax") -> Che
                                   k_reassembly=5, c_mid=4, normalizer=normalizer)
     x = rng.uniform(-1, 1, size=(1, 3, 6, 6))
     params = reassembly.carafe_params(3, cfg, rng)
-    h_out, w_out = cfg.output_hw(6, 6)
-    proj = _projection(rng, (1, 3, h_out, w_out))
-    targets = [("x", x),
-               ("compressor.weights", params.compressor.weights),
-               ("encoder.weights", params.encoder.weights),
-               ("encoder.bias", params.encoder.bias)]
-    # The compressor bias is untrainable when the norm stage follows it (the
-    # norm's mean subtraction makes its true gradient identically zero, which
-    # no finite-difference probe can resolve in relative error).
-    if params.compressor.trainable_bias:
-        targets.insert(2, ("compressor.bias", params.compressor.bias))
-    if params.norm is not None:
-        targets += [("norm.gamma", params.norm.gamma), ("norm.beta", params.norm.beta)]
 
-    def loss():
-        y, _ = reassembly.carafe_forward(Tensor(x), params, cfg)
-        return _proj_loss(y, proj)
+    def forward():
+        return reassembly.carafe_forward(Tensor(x), params, cfg)
 
-    def analytic():
-        params.zero_grads()
-        _, cache = reassembly.carafe_forward(Tensor(x), params, cfg)
-        gx = reassembly.carafe_backward(Tensor(proj), cache)
-        out = {"x": gx.data.copy(),
-               "compressor.weights": params.compressor.grad_weights.copy(),
-               "encoder.weights": params.encoder.grad_weights.copy(),
-               "encoder.bias": params.encoder.grad_bias.copy()}
-        if params.compressor.trainable_bias:
-            out["compressor.bias"] = params.compressor.grad_bias.copy()
-        if params.norm is not None:
-            out["norm.gamma"] = params.norm.grad_gamma.copy()
-            out["norm.beta"] = params.norm.grad_beta.copy()
-        return out
-
-    return CheckProblem(loss=loss, analytic=analytic, targets=targets)
+    return _problem(rng, lambda: forward()[0],
+                    lambda g: reassembly.carafe_backward(g, forward()[1]),
+                    [("x", x)], params)
 
 
 def _build_baseline(seed: int, kind: str, direction: str | None = None) -> CheckProblem:
     rng = np.random.default_rng(seed)
     op = baselines.make_resample_op(kind, 2, channels=3, rng=rng, direction=direction)
     x = rng.uniform(-1, 1, size=(1, 3, 6, 6))
-    h_out, w_out = baselines.resample_output_hw(op, 6, 6)
-    proj = _projection(rng, (1, 3, h_out, w_out))
-    targets = [("x", x)]
-    if op.params is not None:
-        targets += [("weights", op.params.weights), ("bias", op.params.bias)]
 
-    def loss():
-        y, _ = baselines.resample_forward(op, Tensor(x))
-        return _proj_loss(y, proj)
+    def forward():
+        return baselines.resample_forward(op, Tensor(x))
 
-    def analytic():
-        if op.params is not None:
-            op.params.zero_grads()
-        _, cache = baselines.resample_forward(op, Tensor(x))
-        gx = baselines.resample_backward(op, Tensor(proj), cache)
-        out = {"x": gx.data.copy()}
-        if op.params is not None:
-            out["weights"] = op.params.grad_weights.copy()
-            out["bias"] = op.params.grad_bias.copy()
-        return out
-
-    return CheckProblem(loss=loss, analytic=analytic, targets=targets)
+    return _problem(
+        rng, lambda: forward()[0],
+        lambda g: baselines.resample_backward(op, g, forward()[1]),
+        [("x", x)], op.params)
 
 
 REGISTRY: dict[str, Callable[[int], CheckProblem]] = {

@@ -23,7 +23,7 @@ are still deterministic run to run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +35,37 @@ from .tensor import SUPPORTED_DTYPES, Tensor
 # parameter containers
 
 
+class _TrainableArrays:
+    """Bookkeeping shared by the parameter containers: each array named in
+    _ARRAYS gets zeroed grad_<name> and vel_<name> buffers of its shape, and
+    named_slots() is the one place that says which of them train."""
+
+    _ARRAYS: tuple = ()
+
+    def _init_buffers(self) -> None:
+        for name in self._ARRAYS:
+            for buf in ("grad_", "vel_"):
+                setattr(self, buf + name, np.zeros_like(getattr(self, name)))
+
+    def _trainable(self) -> tuple:
+        return self._ARRAYS
+
+    def zero_grads(self) -> None:
+        for name in self._ARRAYS:
+            getattr(self, "grad_" + name)[...] = 0
+
+    def named_slots(self):
+        """Yield (name, value, grad, vel) for each trainable array."""
+        for name in self._trainable():
+            yield (name, getattr(self, name), getattr(self, "grad_" + name),
+                   getattr(self, "vel_" + name))
+
+    def slots(self):
+        return [slot[1:] for slot in self.named_slots()]
+
+
 @dataclass
-class ConvLayerParams:
+class ConvLayerParams(_TrainableArrays):
     """Weights/bias of one convolution stage plus grad and velocity buffers.
 
     weights shape (c_out, c_in, k, k) for conv2d; for the transposed conv the
@@ -46,14 +75,12 @@ class ConvLayerParams:
 
     weights: np.ndarray
     bias: np.ndarray
-    grad_weights: np.ndarray = field(repr=False, default=None)
-    grad_bias: np.ndarray = field(repr=False, default=None)
-    vel_weights: np.ndarray = field(repr=False, default=None)
-    vel_bias: np.ndarray = field(repr=False, default=None)
     # A conv feeding a normalization stage keeps its bias at zero and out of
     # the optimizer: the norm's mean subtraction cancels any bias shift
     # exactly, so the bias would have an identically-zero gradient.
     trainable_bias: bool = True
+
+    _ARRAYS = ("weights", "bias")
 
     def __post_init__(self):
         if self.weights.ndim != 4:
@@ -69,66 +96,42 @@ class ConvLayerParams:
             raise ShapeError(
                 f"bias length {self.bias.shape} matches neither weight axis of "
                 f"{self.weights.shape}")
-        if self.grad_weights is None:
-            self.grad_weights = np.zeros_like(self.weights)
-        if self.grad_bias is None:
-            self.grad_bias = np.zeros_like(self.bias)
-        if self.vel_weights is None:
-            self.vel_weights = np.zeros_like(self.weights)
-        if self.vel_bias is None:
-            self.vel_bias = np.zeros_like(self.bias)
-        if self.grad_weights.shape != self.weights.shape:
-            raise ShapeError("grad_weights shape must match weights")
-        if self.grad_bias.shape != self.bias.shape:
-            raise ShapeError("grad_bias shape must match bias")
+        self._init_buffers()
+
+    def _trainable(self) -> tuple:
+        return self._ARRAYS if self.trainable_bias else ("weights",)
 
     @property
     def k(self) -> int:
         return self.weights.shape[2]
 
-    def zero_grads(self) -> None:
-        self.grad_weights[...] = 0
-        self.grad_bias[...] = 0
-
-    def slots(self):
-        out = [(self.weights, self.grad_weights, self.vel_weights)]
-        if self.trainable_bias:
-            out.append((self.bias, self.grad_bias, self.vel_bias))
-        return out
-
 
 @dataclass
-class AffineNormParams:
+class AffineNormParams(_TrainableArrays):
     """Per-channel gain/shift of the normalization stage."""
 
     gamma: np.ndarray
     beta: np.ndarray
-    grad_gamma: np.ndarray = field(repr=False, default=None)
-    grad_beta: np.ndarray = field(repr=False, default=None)
-    vel_gamma: np.ndarray = field(repr=False, default=None)
-    vel_beta: np.ndarray = field(repr=False, default=None)
+
+    _ARRAYS = ("gamma", "beta")
 
     def __post_init__(self):
         if self.gamma.ndim != 1 or self.gamma.shape != self.beta.shape:
             raise ShapeError("gamma and beta must be 1-D and the same length")
-        if self.grad_gamma is None:
-            self.grad_gamma = np.zeros_like(self.gamma)
-        if self.grad_beta is None:
-            self.grad_beta = np.zeros_like(self.beta)
-        if self.vel_gamma is None:
-            self.vel_gamma = np.zeros_like(self.gamma)
-        if self.vel_beta is None:
-            self.vel_beta = np.zeros_like(self.beta)
+        self._init_buffers()
 
-    def zero_grads(self) -> None:
-        self.grad_gamma[...] = 0
-        self.grad_beta[...] = 0
 
-    def slots(self):
-        return [
-            (self.gamma, self.grad_gamma, self.vel_gamma),
-            (self.beta, self.grad_beta, self.vel_beta),
-        ]
+def _init_weights(shape: tuple, fan_in: int, rng: np.random.Generator | None,
+                  dtype) -> np.ndarray:
+    """Fan-in uniform U[-s, s], s = (1 / (fan_in * k^2))^0.5, or zeros
+    without rng. Every size must be >= 1."""
+    if min(shape) < 1:
+        raise ShapeError(f"conv weight sizes must be >= 1, got {shape}")
+    dt = np.dtype(dtype)
+    if rng is None:
+        return np.zeros(shape, dtype=dt)
+    s = float(np.sqrt(1.0 / (fan_in * shape[2] * shape[3])))
+    return rng.uniform(-s, s, size=shape).astype(dt)
 
 
 def conv_params(c_out: int, c_in: int, k: int, rng: np.random.Generator | None,
@@ -139,31 +142,22 @@ def conv_params(c_out: int, c_in: int, k: int, rng: np.random.Generator | None,
     bias=False pins the bias at zero and keeps it out of the optimizer (for
     convs feeding a normalization stage, where a bias cannot act).
     """
-    dt = np.dtype(dtype)
-    if rng is None:
-        w = np.zeros((c_out, c_in, k, k), dtype=dt)
-    else:
-        s = float(np.sqrt(1.0 / (c_in * k * k)))
-        w = rng.uniform(-s, s, size=(c_out, c_in, k, k)).astype(dt)
-    b = np.zeros(c_out, dtype=dt)
-    return ConvLayerParams(weights=w, bias=b, trainable_bias=bias)
+    w = _init_weights((c_out, c_in, k, k), c_in, rng, dtype)
+    return ConvLayerParams(weights=w, bias=np.zeros(c_out, dtype=w.dtype),
+                           trainable_bias=bias)
 
 
 def transposed_conv_params(c_src: int, c_dst: int, k: int,
                            rng: np.random.Generator | None,
                            dtype=np.float64) -> ConvLayerParams:
     """Parameters for transposed_conv_forward: weights (c_src, c_dst, k, k)."""
-    dt = np.dtype(dtype)
-    if rng is None:
-        w = np.zeros((c_src, c_dst, k, k), dtype=dt)
-    else:
-        s = float(np.sqrt(1.0 / (c_src * k * k)))
-        w = rng.uniform(-s, s, size=(c_src, c_dst, k, k)).astype(dt)
-    b = np.zeros(c_dst, dtype=dt)
-    return ConvLayerParams(weights=w, bias=b)
+    w = _init_weights((c_src, c_dst, k, k), c_src, rng, dtype)
+    return ConvLayerParams(weights=w, bias=np.zeros(c_dst, dtype=w.dtype))
 
 
 def affine_params(channels: int, dtype=np.float64) -> AffineNormParams:
+    if channels < 1:
+        raise ShapeError(f"affine norm needs >= 1 channel, got {channels}")
     dt = np.dtype(dtype)
     return AffineNormParams(gamma=np.ones(channels, dtype=dt),
                             beta=np.zeros(channels, dtype=dt))

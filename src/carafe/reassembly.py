@@ -26,7 +26,7 @@ reassemble_backward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -132,17 +132,22 @@ class CarafeParams:
     encoder: ConvLayerParams
     norm: Optional[AffineNormParams] = None
 
+    def _stages(self) -> list:
+        """(field name, container) of each stage present, in field order."""
+        return [(f.name, getattr(self, f.name)) for f in fields(self)
+                if getattr(self, f.name) is not None]
+
     def param_objects(self) -> list:
-        objs = [self.compressor, self.encoder]
-        if self.norm is not None:
-            objs.append(self.norm)
-        return objs
+        return [obj for _, obj in self._stages()]
+
+    def named_slots(self):
+        """(stage.name, value, grad, vel) for each trainable array."""
+        for stage, obj in self._stages():
+            for name, *slot in obj.named_slots():
+                yield (f"{stage}.{name}", *slot)
 
     def slots(self):
-        out = []
-        for obj in self.param_objects():
-            out.extend(obj.slots())
-        return out
+        return [slot[1:] for slot in self.named_slots()]
 
     def zero_grads(self) -> None:
         for obj in self.param_objects():

@@ -281,6 +281,27 @@ class TestTrainCommand:
                   "--out", str(tmp_path)])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--size", "3"],
+        ["sweep", "--sigma", "3"],
+        ["train", "--channels", "0"],
+    ])
+    def test_bad_task_or_net_is_usage_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_sweep_zero_channels_fails_every_cell(self, tmp_path):
+        rc = main(["sweep", "--channels", "0", "--epochs", "1",
+                   "--c-mid-grid", "2,4", "--kernel-grid", "1:3",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        cells = _read_json(tmp_path / "sweep.json")["cells"]
+        assert len(cells) == 2
+        assert all(c["status"] == "diverged" and "must be >= 1" in c["error"]
+                   for c in cells)
+
 
 class TestConfigFile:
     def test_config_file_supplies_defaults(self, tmp_path):

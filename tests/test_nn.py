@@ -357,3 +357,36 @@ class TestSgd:
         p.grad_bias[:] = 5.0
         sgd_step(p, lr=0.1)
         assert np.all(p.bias == 0.0)
+
+
+class TestParamBuilders:
+    @pytest.mark.parametrize("sizes", [(0, 2, 3), (2, 0, 3), (2, 2, 0), (-1, 2, 3)])
+    @pytest.mark.parametrize("rng", [None, np.random.default_rng(20)])
+    def test_conv_sizes_below_one_rejected(self, sizes, rng):
+        with pytest.raises(ShapeError):
+            conv_params(*sizes, rng)
+        with pytest.raises(ShapeError):
+            transposed_conv_params(*sizes, rng)
+
+    @pytest.mark.parametrize("channels", [0, -2])
+    def test_affine_channels_below_one_rejected(self, channels):
+        with pytest.raises(ShapeError):
+            affine_params(channels)
+
+    def test_named_slots(self):
+        conv = conv_params(2, 2, 3, None)
+        frozen = conv_params(2, 2, 3, None, bias=False)
+        norm = affine_params(2)
+        assert [n for n, *_ in conv.named_slots()] == ["weights", "bias"]
+        assert [n for n, *_ in frozen.named_slots()] == ["weights"]
+        assert [n for n, *_ in norm.named_slots()] == ["gamma", "beta"]
+        _, value, grad, vel = next(norm.named_slots())
+        assert value is norm.gamma and grad is norm.grad_gamma \
+            and vel is norm.vel_gamma
+
+    def test_zero_grads_clears_frozen_bias_too(self):
+        p = conv_params(2, 2, 3, None, bias=False)
+        p.grad_weights[:] = 1.0
+        p.grad_bias[:] = 1.0
+        p.zero_grads()
+        assert not p.grad_weights.any() and not p.grad_bias.any()

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carafe import nn
 from carafe.baselines import make_resample_op, resample_forward
 from carafe.errors import (ContractError, DTypeError, GeometryError,
                            KernelSizeError, ShapeError)
@@ -358,3 +359,63 @@ class TestAdjointIdentity:
             np.testing.assert_allclose(lhs, rhs_x, rtol=1e-12)
             # y is also linear in kf at fixed x: <gy, y> == <gk, kf>.
             np.testing.assert_allclose(lhs, rhs_k, rtol=1e-12)
+
+
+class TestCarafeParamsSlots:
+    def test_named_slots_up_default(self):
+        # up defaults to no norm stage, so the compressor bias trains
+        params = carafe_params(3, CarafeConfig("up", 2, c_mid=4), None)
+        assert [name for name, *_ in params.named_slots()] == [
+            "compressor.weights", "compressor.bias", "encoder.weights",
+            "encoder.bias"]
+
+    def test_named_slots_down_default(self):
+        # down defaults to the norm stage, which cancels the compressor bias
+        params = carafe_params(3, CarafeConfig("down", 2, c_mid=4), None)
+        assert [name for name, *_ in params.named_slots()] == [
+            "compressor.weights", "encoder.weights", "encoder.bias",
+            "norm.gamma", "norm.beta"]
+
+    def test_slots_drop_the_names(self):
+        params = carafe_params(3, CarafeConfig("down", 2, c_mid=4), None)
+        for (_, *named), plain in zip(params.named_slots(), params.slots(),
+                                      strict=True):
+            assert all(a is b for a, b in zip(named, plain, strict=True))
+
+    @staticmethod
+    def _arrays(params):
+        """stage.key -> copy of every array of every stage."""
+        stages = zip(("compressor", "encoder", "norm"), params.param_objects())
+        return {f"{stage}.{key}": value.copy() for stage, obj in stages
+                for key, value in vars(obj).items()
+                if isinstance(value, np.ndarray)}
+
+    def _step(self, params, as_objects):
+        """Arrays before sgd_step, after it, and after zero_grads."""
+        rng = np.random.default_rng(32)
+        for obj in params.param_objects():
+            for key, value in vars(obj).items():
+                if key.startswith("grad_"):
+                    value[...] = rng.standard_normal(value.shape)
+        target = params.param_objects() if as_objects else params
+        before = self._arrays(params)
+        nn.sgd_step(target, lr=0.1, momentum=0.9, weight_decay=1e-3)
+        stepped = self._arrays(params)
+        nn.zero_grads(target)
+        return before, stepped, self._arrays(params)
+
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_container_updates_what_its_param_objects_do(self, direction):
+        cfg = CarafeConfig(direction, 2, c_mid=4)
+        got, want = (self._step(carafe_params(3, cfg, np.random.default_rng(31)),
+                                as_objects) for as_objects in (False, True))
+        for a, b in zip(got, want, strict=True):
+            assert a.keys() == b.keys()
+            assert all(np.array_equal(a[k], b[k]) for k in a)
+        before, stepped, zeroed = got
+        # the step moves exactly the trainable arrays and their velocities
+        moved = {k for k in before if not np.array_equal(before[k], stepped[k])}
+        trained = [name for name, *_ in carafe_params(3, cfg, None).named_slots()]
+        assert moved == {name.replace(".", "." + prefix) for name in trained
+                         for prefix in ("", "vel_")}
+        assert not any(zeroed[k].any() for k in zeroed if ".grad_" in k)
