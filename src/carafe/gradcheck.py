@@ -161,7 +161,8 @@ def _problem(rng: np.random.Generator, forward: Callable[[], Tensor],
         grads = backward(Tensor(proj))
         if isinstance(grads, Tensor):
             grads = (grads,)
-        out = {label: g.data.copy() for (label, _), g in zip(inputs, grads)}
+        out = {label: g.data.copy()
+               for (label, _), g in zip(inputs, grads, strict=True)}
         out.update((name, grad.copy()) for name, _, grad, _ in named)
         return out
 
