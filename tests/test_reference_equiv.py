@@ -61,6 +61,47 @@ def _carafe_case(rng, direction):
     return x, params, cfg
 
 
+def _signed_zeros(rng, t):
+    """Set about a quarter of t's entries to +0.0 or -0.0, in place."""
+    hit = rng.random(t.shape) < 0.25
+    t.data[hit] = np.where(rng.random(t.shape) < 0.5, 0.0, -0.0)[hit]
+    return t
+
+
+def _wide_conv_case(rng, dtype=np.float64):
+    """Wider than _conv_case: stride up to 3, c_in*k^2 up to 45, n up to 3,
+    h != w, signed zeros in x."""
+    n = int(rng.integers(1, 4))
+    k = int(rng.choice([1, 3, 5]))
+    c_in = int(rng.integers(1, min(5, 50 // (k * k)) + 1))
+    c_out = int(rng.integers(1, 6))
+    stride = int(rng.integers(1, 4))
+    pad = int(rng.integers(0, k // 2 + 2))
+    h = int(rng.integers(k, k + 7))
+    w = int(rng.integers(k, k + 7))
+    if w == h:
+        w += 1
+    x = _signed_zeros(rng, _rand(rng, (n, c_in, h, w), dtype))
+    p = conv_params(c_out, c_in, k, rng, dtype)
+    return x, p, stride, pad
+
+
+def _conv_grad_out(rng, x, p, stride, pad):
+    h_out, w_out = conv_output_hw(x.shape[2], x.shape[3], p.weights.shape[2],
+                                  stride, pad)
+    gy = _rand(rng, (x.shape[0], p.weights.shape[0], h_out, w_out), x.dtype)
+    return _signed_zeros(rng, gy)
+
+
+def _assert_bits(a, b):
+    """Equal bit for bit: signed zeros must match too."""
+    da = a.data if isinstance(a, Tensor) else a
+    db = b.data if isinstance(b, Tensor) else b
+    assert da.dtype == db.dtype
+    assert da.shape == db.shape
+    assert da.tobytes() == db.tobytes()
+
+
 def _assert_same(a, b):
     da = a.data if isinstance(a, Tensor) else a
     db = b.data if isinstance(b, Tensor) else b
@@ -125,6 +166,33 @@ class TestConvPaths:
             gx = transposed_conv_backward(gy, x, p, stride, pad)
             as_conv = ConvLayerParams(p.weights, np.zeros(c_src))
             _assert_same(gx, ref.conv2d_forward_direct(gy, as_conv, stride, pad))
+
+
+    def test_backward_wide(self):
+        rng = np.random.default_rng(617)
+        for _ in range(N_CASES):
+            x, p, stride, pad = _wide_conv_case(rng)
+            gy = _conv_grad_out(rng, x, p, stride, pad)
+            gx = conv2d_backward(gy, x, p, stride, pad)
+            gx_d, gw_d, gb_d = ref.conv2d_backward_direct(gy, x, p, stride, pad)
+            _assert_bits(gx, gx_d)
+            _assert_bits(p.grad_weights, gw_d)
+            _assert_bits(p.grad_bias, gb_d)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_onto_prior_grads(self, dtype):
+        # Parameter grads accumulate: a nonzero buffer ends at prior + twin.
+        rng = np.random.default_rng(619)
+        for _ in range(N_CASES):
+            x, p, stride, pad = _wide_conv_case(rng, dtype)
+            gy = _conv_grad_out(rng, x, p, stride, pad)
+            p.grad_weights[...] = rng.standard_normal(p.weights.shape)
+            p.grad_bias[...] = rng.standard_normal(p.bias.shape)
+            prior_w, prior_b = p.grad_weights.copy(), p.grad_bias.copy()
+            conv2d_backward(gy, x, p, stride, pad)
+            _, gw_d, gb_d = ref.conv2d_backward_direct(gy, x, p, stride, pad)
+            _assert_bits(p.grad_weights, prior_w + gw_d)
+            _assert_bits(p.grad_bias, prior_b + gb_d)
 
 
 class TestShufflePaths:
@@ -257,6 +325,32 @@ class TestReassemblyEdgePaths:
             _assert_same(gk, gk_d)
 
 
+class TestManyChannelBackward:
+    """reassemble_backward at C >= 8, where the kernel gradient folds many
+    channels per element; fp32 and fp64, drawn kernel fields, signed zeros."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_backward(self, direction, dtype):
+        rng = np.random.default_rng(620)
+        for _ in range(20):
+            sigma = int(rng.integers(1, 4))
+            k = int(rng.choice([1, 3, 5]))
+            n = int(rng.integers(1, 3))
+            c = int(rng.integers(8, 13))
+            h = int(rng.integers(1, 6))
+            w = int(rng.integers(1, 6))
+            cfg = CarafeConfig(direction, sigma, k_reassembly=k)
+            x = _signed_zeros(rng, _rand(rng, (n, c, h, w), dtype))
+            h_out, w_out = cfg.output_hw(h, w)
+            kf = KernelField(_rand(rng, (n, k * k, h_out, w_out), dtype), k, True)
+            gy = _signed_zeros(rng, _rand(rng, (n, c, h_out, w_out), dtype))
+            gx, gk = reassemble_backward(gy, x, kf, cfg)
+            gx_d, gk_d = ref.reassemble_backward_direct(gy, x, kf, cfg)
+            _assert_bits(gx, gx_d)
+            _assert_bits(gk, gk_d)
+
+
 class TestFloat32Paths:
     """The reduction orders match in single precision as well."""
 
@@ -272,3 +366,14 @@ class TestFloat32Paths:
             fast = conv2d_forward(x32, p32, stride, pad)
             direct = ref.conv2d_forward_direct(x32, p32, stride, pad)
             _assert_same(fast, direct)
+
+    def test_conv_backward_single(self):
+        rng = np.random.default_rng(618)
+        for _ in range(N_CASES):
+            x, p, stride, pad = _wide_conv_case(rng, np.float32)
+            gy = _conv_grad_out(rng, x, p, stride, pad)
+            gx = conv2d_backward(gy, x, p, stride, pad)
+            gx_d, gw_d, gb_d = ref.conv2d_backward_direct(gy, x, p, stride, pad)
+            _assert_bits(gx, gx_d)
+            _assert_bits(p.grad_weights, gw_d)
+            _assert_bits(p.grad_bias, gb_d)
