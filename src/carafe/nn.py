@@ -10,7 +10,9 @@ stated once, at the loop that carries it:
   transposed conv's input gradient (from zero).
 - _scatter_taps: the tap fold of conv2d_backward's input gradient and of
   transposed_conv_forward (whose bias is added once after the fold).
-- conv2d_backward: the fixed reduction tree of grad_weights/grad_bias.
+- conv2d_backward: grad_weights and grad_bias as one fold over im2col rows
+  (the bias is a column of ones): per element, output cols first, then
+  rows, then batch.
 - softmax_group: per group, max (exact), exp, then a channel-ascending fold
   for the normalizing sum.
 - affine_norm: per channel, statistics fold over (batch, row) first into
@@ -252,7 +254,7 @@ def conv2d_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
     Returns grad wrt x (the scatter fold into the padded input) and
     accumulates grad_weights/grad_bias in place. Per parameter, their
     reduction tree is column sums over output cols first, then rows, then
-    batch.
+    batch; every tap and the bias ride in one im2col row per output row.
     """
     _check_conv_args(x, p)
     n, c_in, h, w = x.shape
@@ -271,28 +273,27 @@ def conv2d_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
         grad_x = gxp[:, :, pad:pad + h, pad:pad + w].copy()
     else:
         grad_x = gxp
-    for ki, kj, rows, cols in _taps(k, stride, h_out, w_out):
-        xs = xp[:, :, rows, cols]
-        s1 = np.zeros((n, c_out, c_in, h_out), dtype=x.dtype)
-        for oj in range(w_out):
-            s1 += go[:, :, None, :, oj] * xs[:, None, :, :, oj]
-        s2 = np.zeros((n, c_out, c_in), dtype=x.dtype)
-        for oi in range(h_out):
-            s2 += s1[:, :, :, oi]
-        s3 = np.zeros((c_out, c_in), dtype=x.dtype)
-        for b in range(n):
-            s3 += s2[b]
-        p.grad_weights[:, :, ki, kj] += s3
-    b1 = np.zeros((n, c_out, h_out), dtype=x.dtype)
-    for oj in range(w_out):
-        b1 += go[:, :, :, oj]
-    b2 = np.zeros((n, c_out), dtype=x.dtype)
+    # im2col row oi: (b, oj, ci*k*k + ki*k + kj) <- x window; last column 1,
+    # so grad_bias is the last column of the same fold (go * 1 == go).
+    taps = c_in * k * k
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5)
+    cols = np.ones((n, w_out, taps + 1), dtype=x.dtype)
+    cols_x = cols[:, :, :taps].reshape(n, w_out, c_in, k, k)
+    prod = np.empty((n, c_out, taps + 1), dtype=x.dtype)
+    col_acc = np.empty_like(prod)
+    row_acc = np.zeros_like(prod)
     for oi in range(h_out):
-        b2 += b1[:, :, oi]
-    b3 = np.zeros((c_out,), dtype=x.dtype)
+        cols_x[...] = win[:, oi]
+        col_acc[...] = 0
+        for oj in range(w_out):
+            col_acc += np.multiply(go[:, :, oi, oj, None], cols[:, None, oj], out=prod)
+        row_acc += col_acc
+    batch_acc = np.zeros((c_out, taps + 1), dtype=x.dtype)
     for b in range(n):
-        b3 += b2[b]
-    p.grad_bias += b3
+        batch_acc += row_acc[b]
+    p.grad_weights += batch_acc[:, :taps].reshape(p.weights.shape)
+    p.grad_bias += batch_acc[:, taps]
     return Tensor(grad_x)
 
 

@@ -343,7 +343,8 @@ def reassemble_backward(grad_y: Tensor, x: Tensor, kf: KernelField,
     one offset, sub-pixel phases (di, dj) row-major (one phase when
     downsampling); each phase writes one strided block. Per element, the
     kernel-field gradient folds feature channels in ascending order from
-    zero.
+    zero; the loop runs over channels once, each step covering every offset
+    and phase.
     """
     _check_reassemble_args(x, kf, cfg, allow_unnormalized)
     n, c, h, w = x.shape
@@ -360,18 +361,19 @@ def reassemble_backward(grad_y: Tensor, x: Tensor, kf: KernelField,
     kd = _to_phases(kf.tensor.data, ph)
     xp = np.pad(x.data, ((0, 0), (0, 0), (r, r), (r, r)))
     gxp = np.zeros_like(xp)
-    gk = np.empty_like(kd)
     for q, (_, _, rows, cols) in enumerate(_taps(k, step, *kd.shape[4:])):
         for di in range(ph):
             for dj in range(ph):
                 gxp[:, :, rows, cols] += kd[:, q, di, dj][:, None] * go[:, :, di, dj]
-        xs = xp[:, :, None, None, rows, cols]
-        acc = np.zeros((n,) + kd.shape[2:], dtype=x.dtype)
-        for ch in range(c):
-            acc += go[:, ch] * xs[:, ch]
-        gk[:, q] = acc
+    # Source window of every offset at once: (n, c, k, k, 1, 1, hb, wb).
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    xs = win[:, :, ::step, ::step].transpose(0, 1, 4, 5, 2, 3)[:, :, :, :, None, None]
+    gk = np.zeros((n, k, k) + kd.shape[2:], dtype=x.dtype)
+    prod = np.empty_like(gk)
+    for ch in range(c):
+        gk += np.multiply(go[:, None, None, ch], xs[:, ch], out=prod)
     grad_x = gxp[:, :, r:r + h, r:r + w].copy() if r else gxp
-    return Tensor(grad_x), Tensor(_from_phases(gk))
+    return Tensor(grad_x), Tensor(_from_phases(gk.reshape(kd.shape)))
 
 
 # ---------------------------------------------------------------------------
