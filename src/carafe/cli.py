@@ -476,8 +476,9 @@ def _cmd_sweep(parser, args) -> int:
         try:
             net = _build_for_run(merged, slot, train_kwargs)
             report = train(net, task, **train_kwargs)
-        except (TrainingDiverged, CarafeError) as exc:
-            row.update(status="diverged", error=str(exc), final_loss=None,
+        except CarafeError as exc:
+            status = "diverged" if isinstance(exc, TrainingDiverged) else "error"
+            row.update(status=status, error=str(exc), final_loss=None,
                        final_metric=None, metric_name=task.metric_name,
                        losses=[])
             return row

@@ -292,6 +292,16 @@ class TestTrainCommand:
         assert exc.value.code == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_sweep_divergence_is_diverged(self, tmp_path):
+        rc = main(["sweep", "--task", "super_res", "--size", "8",
+                   "--channels", "4", "--epochs", "300", "--lr", "1000",
+                   "--c-mid-grid", "2", "--kernel-grid", "1:3",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        cells = _read_json(tmp_path / "sweep.json")["cells"]
+        assert [c["status"] for c in cells] == ["diverged"]
+        assert "diverged" in (tmp_path / "summary.csv").read_text()
+
     def test_sweep_zero_channels_fails_every_cell(self, tmp_path):
         rc = main(["sweep", "--channels", "0", "--epochs", "1",
                    "--c-mid-grid", "2,4", "--kernel-grid", "1:3",
@@ -299,7 +309,7 @@ class TestTrainCommand:
         assert rc == 1
         cells = _read_json(tmp_path / "sweep.json")["cells"]
         assert len(cells) == 2
-        assert all(c["status"] == "diverged" and "must be >= 1" in c["error"]
+        assert all(c["status"] == "error" and "must be >= 1" in c["error"]
                    for c in cells)
 
 
