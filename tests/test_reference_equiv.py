@@ -69,7 +69,7 @@ def _signed_zeros(rng, t):
 
 
 def _wide_conv_case(rng, dtype=np.float64):
-    """Wider than _conv_case: stride up to 3, c_in*k^2 up to 45, n up to 3,
+    """Wider than _conv_case: stride up to 3, c_in*k^2 up to 50, n up to 3,
     h != w, signed zeros in x."""
     n = int(rng.integers(1, 4))
     k = int(rng.choice([1, 3, 5]))
