@@ -102,6 +102,17 @@ def _assert_bits(a, b):
     assert da.tobytes() == db.tobytes()
 
 
+def _check_wide_conv_backward(rng, dtype):
+    for _ in range(N_CASES):
+        x, p, stride, pad = _wide_conv_case(rng, dtype)
+        gy = _conv_grad_out(rng, x, p, stride, pad)
+        gx = conv2d_backward(gy, x, p, stride, pad)
+        gx_d, gw_d, gb_d = ref.conv2d_backward_direct(gy, x, p, stride, pad)
+        _assert_bits(gx, gx_d)
+        _assert_bits(p.grad_weights, gw_d)
+        _assert_bits(p.grad_bias, gb_d)
+
+
 def _assert_same(a, b):
     da = a.data if isinstance(a, Tensor) else a
     db = b.data if isinstance(b, Tensor) else b
@@ -169,15 +180,7 @@ class TestConvPaths:
 
 
     def test_backward_wide(self):
-        rng = np.random.default_rng(617)
-        for _ in range(N_CASES):
-            x, p, stride, pad = _wide_conv_case(rng)
-            gy = _conv_grad_out(rng, x, p, stride, pad)
-            gx = conv2d_backward(gy, x, p, stride, pad)
-            gx_d, gw_d, gb_d = ref.conv2d_backward_direct(gy, x, p, stride, pad)
-            _assert_bits(gx, gx_d)
-            _assert_bits(p.grad_weights, gw_d)
-            _assert_bits(p.grad_bias, gb_d)
+        _check_wide_conv_backward(np.random.default_rng(617), np.float64)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_backward_onto_prior_grads(self, dtype):
@@ -368,12 +371,4 @@ class TestFloat32Paths:
             _assert_same(fast, direct)
 
     def test_conv_backward_single(self):
-        rng = np.random.default_rng(618)
-        for _ in range(N_CASES):
-            x, p, stride, pad = _wide_conv_case(rng, np.float32)
-            gy = _conv_grad_out(rng, x, p, stride, pad)
-            gx = conv2d_backward(gy, x, p, stride, pad)
-            gx_d, gw_d, gb_d = ref.conv2d_backward_direct(gy, x, p, stride, pad)
-            _assert_bits(gx, gx_d)
-            _assert_bits(p.grad_weights, gw_d)
-            _assert_bits(p.grad_bias, gb_d)
+        _check_wide_conv_backward(np.random.default_rng(618), np.float32)
