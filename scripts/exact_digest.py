@@ -2,9 +2,10 @@
 """Print one SHA-256 over the results of every exact-tier op on seeded cases.
 
 Outputs, input gradients and parameter gradients of conv, transposed conv,
-pixel (un)shuffle, grouped softmax, affine norm, reassembly (both directions)
-and the full operator; cases alternate fp64/fp32 and about a fifth of every
-drawn input is +0.0 or -0.0. A cross-commit bitwise check is this command
+pixel (un)shuffle, grouped softmax, affine norm, reassembly (both directions),
+the full operator and every resampler kind of carafe.baselines (both
+directions for the kinds that take either); cases alternate fp64/fp32 and
+about a fifth of every drawn input is +0.0 or -0.0. A cross-commit bitwise check is this command
 run in both checkouts: python3 scripts/exact_digest.py --cases 500
 """
 
@@ -18,10 +19,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from carafe import nn
+from carafe.baselines import (ALL_KINDS, DOWN_KINDS, UP_KINDS, make_resample_op,
+                              resample_backward, resample_forward)
 from carafe.reassembly import (NORMALIZERS, CarafeConfig, KernelField,
                                carafe_backward, carafe_forward, carafe_params,
                                reassemble, reassemble_backward)
 from carafe.tensor import Tensor
+
+# (kind, direction): a kind that is neither up-only nor down-only runs both.
+RESAMPLERS = ([(k, "up") for k in ALL_KINDS if k not in DOWN_KINDS]
+              + [(k, "down") for k in ALL_KINDS if k not in UP_KINDS])
 
 
 def _draw(rng, shape, dtype) -> Tensor:
@@ -70,6 +77,13 @@ def _case(rng, dtype):
         y, cache = carafe_forward(x, params, cfg)
         yield from (y.data, carafe_backward(gy, cache).data)
         yield from (grad for _, _, grad, _ in params.named_slots())
+    for kind, direction in RESAMPLERS:
+        op = make_resample_op(kind, s, channels=c, rng=rng, dtype=dtype,
+                              direction=direction)
+        y, cache = resample_forward(op, x)
+        yield from (y.data, resample_backward(op, _draw(rng, y.shape, dtype), cache).data)
+        if op.params is not None:
+            yield from (grad for _, _, grad, _ in op.params.named_slots())
 
 
 def digest(cases: int, seed: int) -> str:

@@ -329,11 +329,39 @@ def reassemble_backward_direct(grad_y: Tensor, x: Tensor, kf: KernelField,
     return gx, gk
 
 
+def sigmoid_group_direct(x: Tensor, group: int, normalize: bool) -> Tensor:
+    """Per-element stable logistic; with normalize, each value is then
+    divided by its group's sum, which folds channels ascending."""
+    n, c, h, w = x.shape
+    xd = x.data
+    s = np.empty_like(xd)
+    flat_x, flat_s = xd.reshape(-1), s.reshape(-1)
+    for idx in range(flat_x.size):
+        z = flat_x[idx]
+        if z >= 0:
+            flat_s[idx] = 1.0 / (1.0 + np.exp(-z))
+        else:
+            ez = np.exp(z)
+            flat_s[idx] = ez / (1.0 + ez)
+    if not normalize:
+        return Tensor(s)
+    out = np.empty_like(xd)
+    zero = x.dtype.type(0)
+    for b in range(n):
+        for base in range(0, c, group):
+            for i in range(h):
+                for j in range(w):
+                    tot = zero
+                    for ch in range(group):
+                        tot = tot + s[b, base + ch, i, j]
+                    for ch in range(group):
+                        out[b, base + ch, i, j] = s[b, base + ch, i, j] / tot
+    return Tensor(out)
+
+
 def predict_kernels_direct(x: Tensor, params: CarafeParams,
                            cfg: CarafeConfig) -> KernelField:
-    """Direct twin of the kernel-prediction pipeline (softmax normalizer)."""
-    if cfg.normalizer != "softmax":
-        raise NotImplementedError("direct twin covers the softmax normalizer")
+    """Direct twin of the kernel-prediction pipeline, every normalizer."""
     comp = conv2d_forward_direct(x, params.compressor, stride=1, pad=0)
     if cfg.compressor_norm:
         enc_in = relu_direct(affine_norm_direct(comp, params.norm))
@@ -346,8 +374,12 @@ def predict_kernels_direct(x: Tensor, params: CarafeParams,
     else:
         raw = conv2d_forward_direct(enc_in, params.encoder, stride=1, pad=pad)
         logits = pixel_shuffle_direct(raw, cfg.sigma)
-    kf = softmax_group_direct(logits, cfg.kernel_channels)
-    return KernelField(kf, cfg.k_reassembly, True)
+    g = cfg.kernel_channels
+    if cfg.normalizer == "softmax":
+        return KernelField(softmax_group_direct(logits, g), cfg.k_reassembly, True)
+    normalize = cfg.normalizer == "sigmoid_norm"
+    return KernelField(sigmoid_group_direct(logits, g, normalize),
+                       cfg.k_reassembly, normalize)
 
 
 def carafe_forward_direct(x: Tensor, params: CarafeParams,

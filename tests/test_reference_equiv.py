@@ -354,6 +354,54 @@ class TestManyChannelBackward:
             _assert_bits(gk, gk_d)
 
 
+class TestPipelinePaths:
+    """Kernel prediction and the fused forward under every normalizer, in
+    both directions and both precisions, with signed zeros in the input;
+    affine_norm with n > 1 and h != w."""
+
+    @staticmethod
+    def _case(rng, direction, normalizer, dtype):
+        sigma = int(rng.integers(1, 4))
+        k_re = int(rng.choice([1, 3, 5]))
+        cfg = CarafeConfig(direction, sigma, k_encoder=int(rng.choice([1, 3])),
+                           k_reassembly=k_re, c_mid=int(rng.integers(1, 4)),
+                           normalizer=normalizer,
+                           compressor_norm=bool(rng.integers(0, 2)))
+        c_in = int(rng.integers(1, 4))
+        shape = (int(rng.integers(1, 3)), c_in,
+                 int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+        x = _signed_zeros(rng, _rand(rng, shape, dtype))
+        return x, carafe_params(c_in, cfg, rng, dtype), cfg
+
+    @pytest.mark.parametrize("normalizer", ["softmax", "sigmoid", "sigmoid_norm"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("direction", ["down", "up"])
+    def test_predict_and_fuse(self, direction, dtype, normalizer):
+        rng = np.random.default_rng(621)
+        for _ in range(20):
+            x, params, cfg = self._case(rng, direction, normalizer, dtype)
+            kf = predict_kernels(x, params, cfg)
+            kf_d = ref.predict_kernels_direct(x, params, cfg)
+            assert kf.normalized == kf_d.normalized
+            _assert_bits(kf.tensor, kf_d.tensor)
+            y, _ = carafe_forward(x, params, cfg)
+            _assert_bits(y, ref.reassemble_direct(x, kf_d, cfg))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_affine_norm_wide(self, dtype):
+        rng = np.random.default_rng(622)
+        for _ in range(N_CASES):
+            c = int(rng.integers(1, 5))
+            h = int(rng.integers(1, 7))
+            w = h + int(rng.integers(1, 4))
+            x = _signed_zeros(rng, _rand(rng, (int(rng.integers(2, 4)), c, h, w),
+                                         dtype))
+            p = affine_params(c, dtype)
+            p.gamma[:] = rng.standard_normal(c)
+            p.beta[:] = rng.standard_normal(c)
+            _assert_bits(affine_norm(x, p), ref.affine_norm_direct(x, p))
+
+
 class TestFloat32Paths:
     """The reduction orders match in single precision as well."""
 
