@@ -73,10 +73,13 @@ def _case(rng, dtype):
         gy = _draw(rng, (n, c, h_out, w_out), dtype)
         yield reassemble(x, kf, cfg).data
         yield from (t.data for t in reassemble_backward(gy, x, kf, cfg))
-        params = carafe_params(c, cfg, rng, dtype)
-        y, cache = carafe_forward(x, params, cfg)
-        yield from (y.data, carafe_backward(gy, cache).data)
-        yield from (grad for _, _, grad, _ in params.named_slots())
+        # The full operator on x and on a map of at most 2 x 2, where a
+        # kernel group can be the only contiguous axis of the field.
+        for xin in (x, _draw(rng, (n, c, *rng.integers(1, 3, size=2)), dtype)):
+            params = carafe_params(c, cfg, rng, dtype)
+            y, cache = carafe_forward(xin, params, cfg)
+            yield from (y.data, carafe_backward(_draw(rng, y.shape, dtype), cache).data)
+            yield from (grad for _, _, grad, _ in params.named_slots())
     for kind, direction in RESAMPLERS:
         op = make_resample_op(kind, s, channels=c, rng=rng, dtype=dtype,
                               direction=direction)
