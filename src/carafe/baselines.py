@@ -25,9 +25,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import GeometryError
-from .nn import (ConvLayerParams, conv2d_backward, conv2d_forward,
-                 conv_params, sigmoid_array, transposed_conv_backward,
-                 transposed_conv_forward, transposed_conv_params)
+from .nn import (ConvLayerParams, _fold, _taps, conv2d_backward,
+                 conv2d_forward, conv_params, sigmoid_array,
+                 transposed_conv_backward, transposed_conv_forward,
+                 transposed_conv_params)
 from .tensor import Tensor
 
 
@@ -49,8 +50,10 @@ def deconv_geometry(sigma: int) -> tuple[int, int]:
 # interpolation helpers
 
 
-def _nearest_indices(sigma: int, size: int) -> np.ndarray:
-    return np.arange(sigma * size) // sigma
+def _nearest_up(xd: np.ndarray, sigma: int) -> np.ndarray:
+    """Repeat every pixel sigma x sigma times."""
+    rows, cols = (np.arange(sigma * size) // sigma for size in xd.shape[2:])
+    return xd[:, :, rows[:, None], cols[None, :]]
 
 
 def _bilinear_axis(sigma: int, size: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,42 +99,39 @@ def _bilinear_up_adjoint(go: np.ndarray, geom: tuple) -> np.ndarray:
 # pooling helpers
 
 
-def _pool_offsets(k: int) -> list[int]:
-    if k % 2:
-        r = (k - 1) // 2
-        return list(range(-r, r + 1))
-    return list(range(k))
-
-
-def _pool_geometry(h: int, w: int, sigma: int) -> tuple[list[int], int, int, int, int]:
-    offs = _pool_offsets(sigma)
+def _pool_geometry(h: int, w: int, sigma: int) -> tuple[int, int, int, int]:
+    """(h_out, w_out, pad_lo, pad_hi) of a sigma-window pool. Window tap t
+    reads padded row sigma*i + t, so pad_lo = sigma // 2 centers odd windows
+    and pad_lo = 0 anchors even ones top-left."""
     h_out = -(-h // sigma)
     w_out = -(-w // sigma)
-    pad_lo = max(0, -offs[0])
-    pad_hi_h = max(0, offs[-1] + sigma * (h_out - 1) - (h - 1))
-    pad_hi_w = max(0, offs[-1] + sigma * (w_out - 1) - (w - 1))
-    return offs, h_out, w_out, pad_lo, max(pad_hi_h, pad_hi_w)
+    pad_lo = sigma // 2 if sigma % 2 else 0
+    pad_hi = max(0, sigma * h_out - h - pad_lo, sigma * w_out - w - pad_lo)
+    return h_out, w_out, pad_lo, pad_hi
 
 
-def _pool_taps(xp: np.ndarray, offs: list[int], pad_lo: int, sig: int,
-               h_out: int, w_out: int):
+def _pool_taps(xp: np.ndarray, sig: int, h_out: int, w_out: int):
     """Strided views of xp, one per window tap, taps in row-major order."""
-    for di in offs:
-        for dj in offs:
-            yield xp[:, :,
-                     pad_lo + di:pad_lo + di + sig * (h_out - 1) + 1:sig,
-                     pad_lo + dj:pad_lo + dj + sig * (w_out - 1) + 1:sig]
+    for _, _, rows, cols in _taps(sig, sig, h_out, w_out):
+        yield xp[:, :, rows, cols]
+
+
+def _pool_windows(x: np.ndarray, sig: int, fill: float) -> np.ndarray:
+    """(sig^2, n, c, h_out, w_out): every window tap of x padded with fill."""
+    h_out, w_out, pad_lo, pad_hi = _pool_geometry(x.shape[2], x.shape[3], sig)
+    xp = np.pad(x, ((0, 0), (0, 0), (pad_lo, pad_hi), (pad_lo, pad_hi)),
+                constant_values=fill)
+    return np.stack(list(_pool_taps(xp, sig, h_out, w_out)), axis=0)
 
 
 def _pool_adjoint(go: np.ndarray, in_hw: tuple[int, int], sig: int,
                   tap_grads) -> Tensor:
     """Add the q-th of tap_grads into window tap q of every output; crop."""
     h, w = in_hw
-    offs, h_out, w_out, pad_lo, pad_hi = _pool_geometry(h, w, sig)
+    h_out, w_out, pad_lo, pad_hi = _pool_geometry(h, w, sig)
     gxp = np.zeros((go.shape[0], go.shape[1],
                     h + pad_lo + pad_hi, w + pad_lo + pad_hi), dtype=go.dtype)
-    for view, g in zip(_pool_taps(gxp, offs, pad_lo, sig, h_out, w_out),
-                       tap_grads):
+    for view, g in zip(_pool_taps(gxp, sig, h_out, w_out), tap_grads):
         view += g
     return Tensor(gxp[:, :, pad_lo:pad_lo + h, pad_lo:pad_lo + w].copy())
 
@@ -146,10 +146,7 @@ def _nearest_up_adjoint(go: np.ndarray, sigma: int, h: int, w: int) -> np.ndarra
 
 
 def _nearest_up_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
-    h, w = x.shape[2:]
-    rows = _nearest_indices(op.sigma, h)
-    cols = _nearest_indices(op.sigma, w)
-    return Tensor(x.data[:, :, rows[:, None], cols[None, :]]), {"in_hw": (h, w)}
+    return Tensor(_nearest_up(x.data, op.sigma)), {"in_hw": x.shape[2:]}
 
 
 def _nearest_up_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
@@ -167,15 +164,10 @@ def _bilinear_up_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor
 
 
 def _max_pool_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
-    h, w = x.shape[2:]
-    offs, h_out, w_out, pad_lo, pad_hi = _pool_geometry(h, w, op.sigma)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad_lo, pad_hi), (pad_lo, pad_hi)),
-                constant_values=-np.inf)
-    cands = np.stack(list(_pool_taps(xp, offs, pad_lo, op.sigma, h_out, w_out)),
-                     axis=0)
+    cands = _pool_windows(x.data, op.sigma, -np.inf)
     arg = np.argmax(cands, axis=0)
     y = np.take_along_axis(cands, arg[None], axis=0)[0]
-    return Tensor(y), {"arg": arg, "in_hw": (h, w)}
+    return Tensor(y), {"arg": arg, "in_hw": x.shape[2:]}
 
 
 def _max_pool_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
@@ -185,13 +177,8 @@ def _max_pool_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
 
 
 def _avg_pool_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
-    n, c, h, w = x.shape
-    offs, h_out, w_out, pad_lo, pad_hi = _pool_geometry(h, w, op.sigma)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad_lo, pad_hi), (pad_lo, pad_hi)))
-    acc = np.zeros((n, c, h_out, w_out), dtype=x.dtype)
-    for view in _pool_taps(xp, offs, pad_lo, op.sigma, h_out, w_out):
-        acc += view
-    return Tensor(acc / x.dtype.type(op.sigma * op.sigma)), {"in_hw": (h, w)}
+    acc = _fold(_pool_windows(x.data, op.sigma, 0.0), 0)
+    return Tensor(acc / x.dtype.type(op.sigma * op.sigma)), {"in_hw": x.shape[2:]}
 
 
 def _avg_pool_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
@@ -221,7 +208,6 @@ def _transposed_conv_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Te
 
 
 def _spatial_attention_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
-    h, w = x.shape[2:]
     sig = op.sigma
     z = conv2d_forward(x, op.params, stride=1, pad=0)
     gate = sigmoid_array(z.data)
@@ -229,9 +215,7 @@ def _spatial_attention_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]
     if op.direction == "down":
         y = att[:, :, ::sig, ::sig]
     else:
-        rows = _nearest_indices(sig, h)
-        cols = _nearest_indices(sig, w)
-        y = att[:, :, rows[:, None], cols[None, :]]
+        y = _nearest_up(att, sig)
     return Tensor(np.ascontiguousarray(y)), {"x": x, "gate": gate}
 
 
@@ -313,7 +297,6 @@ _KINDS = {
 
 UP_KINDS = tuple(k for k, v in _KINDS.items() if v.direction == "up")
 DOWN_KINDS = tuple(k for k, v in _KINDS.items() if v.direction == "down")
-DUAL_KINDS = tuple(k for k, v in _KINDS.items() if v.direction is None)
 ALL_KINDS = tuple(_KINDS)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import ALL_KINDS, make_resample_op, resample_forward
-from .demo import (ARCHITECTURES, TASK_KINDS, SlotSpec, ToyTask, build_net,
+from .demo import (ARCHITECTURES, TASK_KINDS, SlotSpec, ToyTask, seeded_net,
                    train)
 from .errors import CarafeError, TrainingDiverged
 from .gradcheck import check_op, registered_ops
@@ -341,11 +341,9 @@ def _arch_for(parser, merged: dict) -> str:
 
 
 def _build_for_run(merged: dict, slot: SlotSpec, train_kwargs: dict):
-    ss = np.random.SeedSequence(train_kwargs["seed"])
-    shared_ss, slot_ss = ss.spawn(2)
-    return build_net(merged["arch"], slot, int(merged["channels"]),
-                     int(merged["sigma"]), np.random.default_rng(shared_ss),
-                     np.random.default_rng(slot_ss), train_kwargs["dtype"])
+    return seeded_net(merged["arch"], slot, int(merged["channels"]),
+                      int(merged["sigma"]), train_kwargs["seed"],
+                      train_kwargs["dtype"])
 
 
 def _setup_run(parser, args, defaults: dict):

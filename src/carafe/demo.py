@@ -15,7 +15,6 @@ changes nothing else — identical budgets by construction.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -276,13 +275,9 @@ def _make_slot_layer(spec: SlotSpec, direction: str, sigma: int, channels: int,
                            normalizer=spec.normalizer,
                            compressor_norm=spec.compressor_norm)
         return CarafeLayer(carafe_params(channels, cfg, rng, dtype), cfg)
-    explicit = direction if spec.kind == "spatial_attention" else None
-    op = make_resample_op(spec.kind, sigma, channels=channels, rng=rng,
-                          dtype=dtype, direction=explicit)
-    if op.direction != direction:
-        raise ValueError(f"slot {spec.kind!r} resamples {op.direction}, "
-                         f"but this net needs {direction}")
-    return BaselineLayer(op)
+    return BaselineLayer(make_resample_op(spec.kind, sigma, channels=channels,
+                                          rng=rng, dtype=dtype,
+                                          direction=direction))
 
 
 class MiniNet:
@@ -394,6 +389,16 @@ def build_net(arch: str, slot: SlotSpec, channels: int, sigma: int,
     return MiniFpn(stem, down, lat_hi, lat_lo, slot_layer, head, slot.name)
 
 
+def seeded_net(arch: str, slot: SlotSpec, channels: int, sigma: int, seed: int,
+               dtype=np.float64):
+    """build_net with the trunk and the slot drawing from the two streams
+    that SeedSequence(seed).spawn(2) gives, in that order: every slot built
+    from one seed sees bitwise-equal trunk parameters."""
+    shared_ss, slot_ss = np.random.SeedSequence(seed).spawn(2)
+    return build_net(arch, slot, channels, sigma, np.random.default_rng(shared_ss),
+                     np.random.default_rng(slot_ss), dtype)
+
+
 # ---------------------------------------------------------------------------
 # training
 
@@ -411,10 +416,9 @@ class TrainRunReport:
     final_loss: float = float("nan")
     metric_name: str = ""
     final_metric: float = float("nan")
-    wall_time_s: float = 0.0
 
     def to_payload(self) -> dict:
-        """JSON-ready dict; wall time deliberately excluded (timing: excluded)."""
+        """JSON-ready dict; runs record no timings (timing: excluded)."""
         return {
             "operator": self.operator,
             "task": self.task_kind,
@@ -449,10 +453,11 @@ def train(net, task: ToyTask, epochs: int, lr: float, momentum: float = 0.9,
           weight_decay: float = 1e-4, seed: int | None = None,
           train_count: int = 16, eval_count: int = 8,
           dtype=np.float64) -> TrainRunReport:
-    """Full-batch SGD on the task's dataset; aborts on non-finite loss.
+    """Full-batch SGD on the task's dataset.
 
-    seed defaults to task.seed and is recorded in the report; the dataset
-    itself is generated from task.seed.
+    A step that overflows, makes an invalid value or ends at a non-finite
+    loss raises TrainingDiverged. seed defaults to task.seed and is recorded
+    in the report; the dataset itself is generated from task.seed.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -463,21 +468,23 @@ def train(net, task: ToyTask, epochs: int, lr: float, momentum: float = 0.9,
                             seed=task.seed if seed is None else seed,
                             epochs=epochs, lr=lr,
                             metric_name=task.metric_name)
-    t0 = time.perf_counter()
     for step in range(epochs):
-        pred = net.forward(x)
-        loss, grad = loss_fn(pred, y)
-        if not np.isfinite(loss):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                pred = net.forward(x)
+                loss, grad = loss_fn(pred, y)
+                if not np.isfinite(loss):
+                    raise FloatingPointError(f"non-finite loss {loss}")
+                report.losses.append(loss)
+                net.zero_grads()
+                net.backward(grad)
+                sgd_step(net.param_objects(), lr, momentum, weight_decay)
+        except FloatingPointError as exc:
             raise TrainingDiverged(
-                f"non-finite loss {loss} at step {step} "
-                f"(operator={report.operator}, task={task.kind}, lr={lr})")
-        report.losses.append(loss)
-        net.zero_grads()
-        net.backward(grad)
-        sgd_step(net.param_objects(), lr, momentum, weight_decay)
+                f"{exc} at step {step} "
+                f"(operator={report.operator}, task={task.kind}, lr={lr})") from exc
     report.final_loss = report.losses[-1]
     report.final_metric = evaluate(net, task, eval_count, dtype)
-    report.wall_time_s = time.perf_counter() - t0
     return report
 
 
@@ -508,11 +515,10 @@ def compare_operators(task: ToyTask, roster: list, seeds, arch: str,
                       dtype=np.float64) -> list[OperatorSummary]:
     """Train every roster slot under identical budgets and summarize.
 
-    Per (slot, seed): the shared trunk draws its init from one spawned rng
-    stream and the slot from another, so every operator sees bitwise-equal
-    trunk parameters and data. sd is the population standard deviation.
-    delta_vs_carafe is carafe's mean minus the row's mean when a carafe row
-    exists.
+    Per (slot, seed) the net comes from seeded_net, so every operator sees
+    bitwise-equal trunk parameters and data. sd is the population standard
+    deviation. delta_vs_carafe is carafe's mean minus the row's mean when a
+    carafe row exists.
     """
     if not roster:
         raise ValueError("roster must not be empty")
@@ -520,11 +526,7 @@ def compare_operators(task: ToyTask, roster: list, seeds, arch: str,
     for spec in roster:
         per_seed = []
         for seed in seeds:
-            ss = np.random.SeedSequence(seed)
-            shared_ss, slot_ss = ss.spawn(2)
-            net = build_net(arch, spec, channels, task.sigma,
-                            np.random.default_rng(shared_ss),
-                            np.random.default_rng(slot_ss), dtype)
+            net = seeded_net(arch, spec, channels, task.sigma, seed, dtype)
             rep = train(net, replace(task, seed=seed), epochs, lr, momentum,
                         weight_decay, seed=seed, train_count=train_count,
                         eval_count=eval_count, dtype=dtype)

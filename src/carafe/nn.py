@@ -11,12 +11,8 @@ stated once, at the loop that carries it:
 - _scatter_taps: the tap fold of conv2d_backward's input gradient and of
   transposed_conv_forward (whose bias is added once after the fold).
 - conv2d_backward: grad_weights and grad_bias as one fold over im2col rows
-  (the bias is a column of ones): per element, output cols first, then
-  rows, then batch.
-- softmax_group: per group, max (exact), exp, then a channel-ascending fold
-  for the normalizing sum.
-- affine_norm: per channel, statistics fold over (batch, row) first into
-  per-column partials, then over columns.
+  (the bias is a column of ones): per element, output cols, then rows.
+- _fold: every plain sum, each along one axis in ascending order.
 
 Reductions that have no bitwise twin (parameter grads of the transposed
 conv, backward of affine_norm, losses) may use numpy reductions freely; they
@@ -192,6 +188,25 @@ def _check_conv_args(x: Tensor, p: ConvLayerParams) -> None:
         raise DTypeError(f"dtype mismatch: input {x.dtype} vs weights {p.weights.dtype}")
 
 
+def _fold(a: np.ndarray, axis: int) -> np.ndarray:
+    """Sum a along one axis in ascending index order, starting from zero.
+
+    The one plain fixed-order sum of the exact tier. Its callers:
+    - softmax_group: the normalizing sum over a group's channels, and the
+      backward's dot of grad and output;
+    - affine_norm: each statistic over (batch, row) pairs, batch outer, into
+      per-column partials, then over columns;
+    - conv2d_backward: the parameter-gradient rows over the batch;
+    - the sigmoid_norm normalizer of reassembly: its sum and backward dot;
+    - the average-pooling baseline: the window taps, row-major.
+    """
+    parts = np.moveaxis(a, axis, 0)
+    acc = np.zeros(parts.shape[1:], dtype=a.dtype)
+    for part in parts:
+        acc += part
+    return acc
+
+
 def _taps(k: int, stride: int, h: int, w: int):
     """(ki, kj, rows, cols) of each tap, row-major: the strided window of the
     padded map that meets an h x w grid through tap (ki, kj)."""
@@ -289,9 +304,7 @@ def conv2d_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
         for oj in range(w_out):
             col_acc += np.multiply(go[:, :, oi, oj, None], cols[:, None, oj], out=prod)
         row_acc += col_acc
-    batch_acc = np.zeros((c_out, taps + 1), dtype=x.dtype)
-    for b in range(n):
-        batch_acc += row_acc[b]
+    batch_acc = _fold(row_acc, 0)
     p.grad_weights += batch_acc[:, :taps].reshape(p.weights.shape)
     p.grad_bias += batch_acc[:, taps]
     return Tensor(grad_x)
@@ -443,8 +456,7 @@ def sigmoid_array(z: np.ndarray) -> np.ndarray:
 def softmax_group(x: Tensor, group: int) -> Tensor:
     """Softmax over contiguous channel groups of the given size, per location.
 
-    Stabilized by per-group max subtraction. The normalizing sum folds group
-    channels in ascending order.
+    Stabilized by per-group max subtraction, then a _fold over the group.
     """
     n, c, h, w = x.shape
     if group < 1 or c % group != 0:
@@ -453,10 +465,7 @@ def softmax_group(x: Tensor, group: int) -> Tensor:
     xr = x.data.reshape(n, ngroups, group, h, w)
     m = xr.max(axis=2)
     e = np.exp(xr - m[:, :, None])
-    s = np.zeros((n, ngroups, h, w), dtype=x.dtype)
-    for ch in range(group):
-        s += e[:, :, ch]
-    y = e / s[:, :, None]
+    y = e / _fold(e, 2)[:, :, None]
     return Tensor(y.reshape(n, c, h, w))
 
 
@@ -468,19 +477,14 @@ def softmax_group_backward(grad_out: Tensor, x: Tensor, group: int) -> Tensor:
     ngroups = c // group
     y = softmax_group(x, group).data.reshape(n, ngroups, group, h, w)
     g = grad_out.data.reshape(n, ngroups, group, h, w)
-    dot = np.zeros((n, ngroups, h, w), dtype=x.dtype)
-    for ch in range(group):
-        dot += g[:, :, ch] * y[:, :, ch]
-    dz = y * (g - dot[:, :, None])
+    dz = y * (g - _fold(g * y, 2)[:, :, None])
     return Tensor(dz.reshape(n, c, h, w))
 
 
 def affine_norm(x: Tensor, p: AffineNormParams, eps: float = 1e-5) -> Tensor:
     """Standardize each channel over (batch, rows, cols), then gamma/beta.
 
-    Statistics fold (batch, row) pairs into per-column partial sums, then
-    fold columns in ascending order; both the mean and the variance pass use
-    that tree.
+    The mean and the variance each take the fold tree stated at _fold.
     """
     n, c, h, w = x.shape
     if p.gamma.shape != (c,):
@@ -489,23 +493,13 @@ def affine_norm(x: Tensor, p: AffineNormParams, eps: float = 1e-5) -> Tensor:
         raise DTypeError(f"dtype mismatch: input {x.dtype} vs gamma {p.gamma.dtype}")
     xd = x.data
     count = x.dtype.type(n * h * w)
-    cs = np.zeros((c, w), dtype=x.dtype)
-    for b in range(n):
-        for i in range(h):
-            cs += xd[b, :, i, :]
-    tot = np.zeros((c,), dtype=x.dtype)
-    for j in range(w):
-        tot += cs[:, j]
-    mean = tot / count
+
+    def total(a):
+        return _fold(_fold(a.transpose(0, 2, 1, 3).reshape(n * h, c, w), 0), 1)
+
+    mean = total(xd) / count
     d = xd - mean[None, :, None, None]
-    cs2 = np.zeros((c, w), dtype=x.dtype)
-    for b in range(n):
-        for i in range(h):
-            cs2 += d[b, :, i, :] * d[b, :, i, :]
-    tot2 = np.zeros((c,), dtype=x.dtype)
-    for j in range(w):
-        tot2 += cs2[:, j]
-    var = tot2 / count
+    var = total(d * d) / count
     inv = x.dtype.type(1) / np.sqrt(var + x.dtype.type(eps))
     xhat = d * inv[None, :, None, None]
     y = p.gamma[None, :, None, None] * xhat + p.beta[None, :, None, None]

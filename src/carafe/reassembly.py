@@ -15,13 +15,11 @@ Downsampling maps target (i', j') to source (sigma*i', sigma*j') and emits
 ceil(H/sigma) x ceil(W/sigma); upsampling maps to (i'//sigma, j'//sigma) and
 emits sigma*H x sigma*W. Borders are zero-padded.
 
-Both directions run one tap loop per pass. Targets are laid out phase-major,
-(n, c, ph, ph, H_out/ph, W_out/ph) as in pixel_unshuffle, so that for each
-window offset one strided view of the padded source feeds every phase: down
-has one phase and steps sigma, up has sigma x sigma phases and steps 1. The
-accumulation orders, fixed so the vectorized code agrees bitwise with the
-direct loop nests in reference.py, are stated at that loop in reassemble and
-reassemble_backward.
+Both directions run one pipeline and one tap loop per pass, parameterized
+by _phase_step, the one place that reads the direction. The accumulation
+orders, fixed so the vectorized code agrees bitwise with the direct loop
+nests in reference.py, are stated there; the sigmoid_norm normalizer's sums
+are nn._fold's.
 """
 
 from __future__ import annotations
@@ -33,11 +31,11 @@ import numpy as np
 
 from .errors import (ContractError, DTypeError, GeometryError,
                      KernelSizeError, ShapeError)
-from .nn import (AffineNormParams, ConvLayerParams, _from_phases, _taps,
-                 _to_phases, affine_norm, affine_norm_backward, affine_params,
-                 conv2d_backward, conv2d_forward, conv_params, pixel_shuffle,
-                 pixel_unshuffle, relu, relu_backward, sigmoid_array,
-                 softmax_group, softmax_group_backward)
+from .nn import (AffineNormParams, ConvLayerParams, _fold, _from_phases,
+                 _taps, _to_phases, affine_norm, affine_norm_backward,
+                 affine_params, conv2d_backward, conv2d_forward, conv_params,
+                 pixel_shuffle, pixel_unshuffle, relu, relu_backward,
+                 sigmoid_array, softmax_group, softmax_group_backward)
 from .tensor import Tensor
 
 DIRECTIONS = ("down", "up")
@@ -91,14 +89,13 @@ class CarafeConfig:
 
     @property
     def encoder_out_channels(self) -> int:
-        if self.direction == "down":
-            return self.kernel_channels
-        return self.sigma * self.sigma * self.kernel_channels
+        ph, _ = _phase_step(self)
+        return ph * ph * self.kernel_channels
 
     def output_hw(self, h: int, w: int) -> tuple[int, int]:
-        if self.direction == "down":
-            return (-(-h // self.sigma), -(-w // self.sigma))
-        return (self.sigma * h, self.sigma * w)
+        """ceil(H/sigma) x ceil(W/sigma) down, sigma*H x sigma*W up."""
+        ph, step = _phase_step(self)
+        return (-(-h * ph // step), -(-w * ph // step))
 
 
 @dataclass(frozen=True)
@@ -190,40 +187,41 @@ def kernel_offsets(k: int) -> list[tuple[int, int]]:
 # kernel prediction
 
 
-class _PredictCache:
-    __slots__ = ("comp", "normed", "enc_in", "enc_raw", "logits", "sig", "sig_sum")
+@dataclass(eq=False)
+class CarafeCache:
+    """What one forward pass keeps for carafe_backward: the input, config and
+    params, each pipeline stage's output and the kernel field."""
 
-    def __init__(self):
-        self.comp = None
-        self.normed = None
-        self.enc_in = None
-        self.enc_raw = None
-        self.logits = None
-        self.sig = None
-        self.sig_sum = None
+    x: Tensor
+    cfg: CarafeConfig
+    params: CarafeParams
+    comp: Optional[Tensor] = None
+    normed: Optional[Tensor] = None
+    enc_in: Optional[Tensor] = None
+    logits: Optional[Tensor] = None
+    sig: Optional[np.ndarray] = None
+    sig_sum: Optional[np.ndarray] = None
+    kf: Optional[KernelField] = None
+    consumed: bool = False
 
 
-def _normalize_logits(logits: Tensor, cfg: CarafeConfig, cache: _PredictCache) -> KernelField:
+def _normalize_logits(cache: CarafeCache) -> KernelField:
+    cfg = cache.cfg
     g = cfg.kernel_channels
     if cfg.normalizer == "softmax":
-        return KernelField(softmax_group(logits, g), cfg.k_reassembly, True)
-    s = sigmoid_array(logits.data)
+        return KernelField(softmax_group(cache.logits, g), cfg.k_reassembly, True)
+    cache.sig = sigmoid_array(cache.logits.data)
     if cfg.normalizer == "sigmoid":
-        cache.sig = s
-        return KernelField(Tensor(s), cfg.k_reassembly, False)
-    n, c, h, w = logits.shape
-    sr = s.reshape(n, c // g, g, h, w)
-    total = np.zeros((n, c // g, h, w), dtype=logits.dtype)
-    for ch in range(g):
-        total += sr[:, :, ch]
-    y = sr / total[:, :, None]
-    cache.sig = s
-    cache.sig_sum = total
+        return KernelField(Tensor(cache.sig), cfg.k_reassembly, False)
+    n, c, h, w = cache.logits.shape
+    sr = cache.sig.reshape(n, c // g, g, h, w)
+    cache.sig_sum = _fold(sr, 2)
+    y = sr / cache.sig_sum[:, :, None]
     return KernelField(Tensor(y.reshape(n, c, h, w)), cfg.k_reassembly, True)
 
 
 def _predict_forward(x: Tensor, params: CarafeParams, cfg: CarafeConfig
-                     ) -> tuple[KernelField, _PredictCache]:
+                     ) -> CarafeCache:
     if x.shape[1] != params.compressor.weights.shape[1]:
         raise ShapeError(
             f"input has {x.shape[1]} channels, compressor expects "
@@ -234,46 +232,39 @@ def _predict_forward(x: Tensor, params: CarafeParams, cfg: CarafeConfig
             f"needs {cfg.encoder_out_channels}")
     if cfg.compressor_norm and params.norm is None:
         raise ContractError("config enables compressor_norm but params.norm is missing")
-    cache = _PredictCache()
+    cache = CarafeCache(x, cfg, params)
     cache.comp = conv2d_forward(x, params.compressor, stride=1, pad=0)
     if cfg.compressor_norm:
         cache.normed = affine_norm(cache.comp, params.norm)
         cache.enc_in = relu(cache.normed)
     else:
         cache.enc_in = cache.comp
-    pad = cfg.k_encoder // 2
-    if cfg.direction == "down":
-        cache.enc_raw = conv2d_forward(cache.enc_in, params.encoder,
-                                       stride=cfg.sigma, pad=pad)
-        cache.logits = cache.enc_raw
-    else:
-        cache.enc_raw = conv2d_forward(cache.enc_in, params.encoder, stride=1, pad=pad)
-        cache.logits = pixel_shuffle(cache.enc_raw, cfg.sigma)
-    kf = _normalize_logits(cache.logits, cfg, cache)
-    return kf, cache
+    ph, step = _phase_step(cfg)
+    enc = conv2d_forward(cache.enc_in, params.encoder, stride=step,
+                         pad=cfg.k_encoder // 2)
+    cache.logits = pixel_shuffle(enc, ph) if ph > 1 else enc
+    cache.kf = _normalize_logits(cache)
+    return cache
 
 
 def predict_kernels(x: Tensor, params: CarafeParams, cfg: CarafeConfig) -> KernelField:
     """Run the kernel-prediction pipeline and return the kernel field."""
-    kf, _ = _predict_forward(x, params, cfg)
-    return kf
+    return _predict_forward(x, params, cfg).kf
 
 
-def _normalize_backward(grad_kf: np.ndarray, cfg: CarafeConfig,
-                        cache: _PredictCache, kf: KernelField) -> Tensor:
+def _normalize_backward(grad_kf: np.ndarray, cache: CarafeCache) -> Tensor:
+    cfg = cache.cfg
     g = cfg.kernel_channels
     if cfg.normalizer == "softmax":
         return softmax_group_backward(Tensor(grad_kf), cache.logits, g)
+    s = cache.sig
     if cfg.normalizer == "sigmoid":
-        s = cache.sig
         return Tensor(grad_kf * s * (1.0 - s))
     n, c, h, w = cache.logits.shape
-    s = cache.sig.reshape(n, c // g, g, h, w)
+    s = s.reshape(n, c // g, g, h, w)
     total = cache.sig_sum
     gr = grad_kf.reshape(n, c // g, g, h, w)
-    dot = np.zeros((n, c // g, h, w), dtype=cache.logits.dtype)
-    for ch in range(g):
-        dot += gr[:, :, ch] * s[:, :, ch]
+    dot = _fold(gr * s, 2)
     gs = gr / total[:, :, None] - (dot / (total * total))[:, :, None]
     gz = gs * s * (1.0 - s)
     return Tensor(gz.reshape(n, c, h, w))
@@ -305,7 +296,19 @@ def _check_reassemble_args(x: Tensor, kf: KernelField, cfg: CarafeConfig,
 
 def _phase_step(cfg: CarafeConfig) -> tuple[int, int]:
     """(ph, step): target (ph*i + di, ph*j + dj) reads the window at source
-    (step*i, step*j) shifted by each offset."""
+    (step*i, step*j) shifted by each offset. Down has one phase and steps
+    sigma, up has sigma x sigma phases and steps 1.
+
+    The same pair drives kernel prediction: the encoder conv strides by step
+    and its output is pixel-shuffled by ph. Reassembly lays the kernel field,
+    output and grad_y out phase-major, (n, c, ph, ph, H_out/ph, W_out/ph) as
+    in pixel_unshuffle, so for each window offset one strided view of the
+    padded source feeds every phase. Its folds, each per element from zero:
+    - reassemble: offsets in ascending q (dn outer, dm inner);
+    - reassemble_backward, source gradient: offsets in ascending q and,
+      inside one offset, phases (di, dj) row-major;
+    - reassemble_backward, kernel gradient: feature channels ascending.
+    """
     if cfg.direction == "down":
         return 1, cfg.sigma
     return cfg.sigma, 1
@@ -317,9 +320,8 @@ def reassemble(x: Tensor, kf: KernelField, cfg: CarafeConfig,
 
     out[b, c, i', j'] = sum over window offsets (dn, dm) of
     kf[b, q, i', j'] * x[b, c, i + dn, j + dm], with (i, j) the mapped source
-    location, q = (dn+r)*k + (dm+r), zero padding off the edges. Per output
-    element the fold starts from zero and runs in ascending q (dn outer, dm
-    inner).
+    location, q = (dn+r)*k + (dm+r), zero padding off the edges; fold order
+    at _phase_step.
     """
     _check_reassemble_args(x, kf, cfg, allow_unnormalized)
     n, c, _, _ = x.shape
@@ -339,12 +341,9 @@ def reassemble_backward(grad_y: Tensor, x: Tensor, kf: KernelField,
                         ) -> tuple[Tensor, Tensor]:
     """Adjoint of reassemble: grads wrt the source map and the kernel field.
 
-    The scatter into the source map folds offsets in ascending q and, inside
-    one offset, sub-pixel phases (di, dj) row-major (one phase when
-    downsampling); each phase writes one strided block. Per element, the
-    kernel-field gradient folds feature channels in ascending order from
-    zero; the loop runs over channels once, each step covering every offset
-    and phase.
+    Each phase of the source scatter writes one strided block; the kernel
+    gradient loops over channels once, each step covering every offset and
+    phase. Fold orders at _phase_step.
     """
     _check_reassemble_args(x, kf, cfg, allow_unnormalized)
     n, c, h, w = x.shape
@@ -380,27 +379,11 @@ def reassemble_backward(grad_y: Tensor, x: Tensor, kf: KernelField,
 # fused operator
 
 
-class CarafeCache:
-    """Intermediates retained by carafe_forward for the backward pass."""
-
-    __slots__ = ("x", "cfg", "params", "predict", "kf", "y_shape", "consumed")
-
-    def __init__(self, x, cfg, params, predict, kf, y_shape):
-        self.x = x
-        self.cfg = cfg
-        self.params = params
-        self.predict = predict
-        self.kf = kf
-        self.y_shape = y_shape
-        self.consumed = False
-
-
 def carafe_forward(x: Tensor, params: CarafeParams, cfg: CarafeConfig
                    ) -> tuple[Tensor, CarafeCache]:
     """Predict kernels from content, then reassemble with them."""
-    kf, pcache = _predict_forward(x, params, cfg)
-    y = reassemble(x, kf, cfg, allow_unnormalized=(cfg.normalizer == "sigmoid"))
-    cache = CarafeCache(x, cfg, params, pcache, kf, y.shape)
+    cache = _predict_forward(x, params, cfg)
+    y = reassemble(x, cache.kf, cfg, allow_unnormalized=(cfg.normalizer == "sigmoid"))
     return y, cache
 
 
@@ -414,26 +397,24 @@ def carafe_backward(grad_y: Tensor, cache: CarafeCache) -> Tensor:
         raise ContractError("carafe_backward needs the cache from carafe_forward")
     if cache.consumed:
         raise ContractError("cache already consumed by a previous backward call")
-    if grad_y.shape != cache.y_shape:
-        raise ShapeError(f"grad shape {grad_y.shape} != forward output {cache.y_shape}")
-    cache.consumed = True
     cfg = cache.cfg
+    n, c, h, w = cache.x.shape
+    y_shape = (n, c) + cfg.output_hw(h, w)
+    if grad_y.shape != y_shape:
+        raise ShapeError(f"grad shape {grad_y.shape} != forward output {y_shape}")
+    cache.consumed = True
     params = cache.params
-    pc = cache.predict
     gx_feat, g_kf = reassemble_backward(
         grad_y, cache.x, cache.kf, cfg,
         allow_unnormalized=(cfg.normalizer == "sigmoid"))
-    g_logits = _normalize_backward(g_kf.data, cfg, pc, cache.kf)
-    if cfg.direction == "down":
-        g_raw = g_logits
-    else:
-        g_raw = pixel_unshuffle(g_logits, cfg.sigma)
-    pad = cfg.k_encoder // 2
-    stride = cfg.sigma if cfg.direction == "down" else 1
-    g_enc_in = conv2d_backward(g_raw, pc.enc_in, params.encoder, stride=stride, pad=pad)
+    g_logits = _normalize_backward(g_kf.data, cache)
+    ph, step = _phase_step(cfg)
+    g_enc = pixel_unshuffle(g_logits, ph) if ph > 1 else g_logits
+    g_enc_in = conv2d_backward(g_enc, cache.enc_in, params.encoder, stride=step,
+                               pad=cfg.k_encoder // 2)
     if cfg.compressor_norm:
-        g_normed = relu_backward(g_enc_in, pc.normed)
-        g_comp = affine_norm_backward(g_normed, pc.comp, params.norm)
+        g_normed = relu_backward(g_enc_in, cache.normed)
+        g_comp = affine_norm_backward(g_normed, cache.comp, params.norm)
     else:
         g_comp = g_enc_in
     gx_pred = conv2d_backward(g_comp, cache.x, params.compressor, stride=1, pad=0)
