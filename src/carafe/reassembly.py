@@ -16,10 +16,11 @@ ceil(H/sigma) x ceil(W/sigma); upsampling maps to (i'//sigma, j'//sigma) and
 emits sigma*H x sigma*W. Borders are zero-padded.
 
 Both directions run one pipeline and one tap loop per pass, parameterized
-by _phase_step, the one place that reads the direction. The accumulation
-orders, fixed so the vectorized code agrees bitwise with the direct loop
-nests in reference.py, are stated there; the sigmoid_norm normalizer's sums
-are nn._fold's.
+by _phase_step, the one place the computation reads the direction
+(map_target_to_source spells the mapping out for the loop twins). The
+accumulation orders, fixed so the vectorized code agrees bitwise with the
+direct loop nests in reference.py, are stated there; the sigmoid_norm
+normalizer's sums are nn._fold's.
 """
 
 from __future__ import annotations
