@@ -8,11 +8,13 @@ across repeat runs.
 import argparse
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from carafe import cli
+from carafe.baselines import DOWN_KINDS, UP_KINDS
 from carafe.cli import build_parser, main
 
 
@@ -222,6 +224,22 @@ class TestBenchCommand:
         rows = _read_json(tmp_path / "bench.json")["results"]
         assert [(r["operator"], r["direction"], r["shape"], r["sigma"])
                 for r in rows] == [("carafe_down", "down", "1x2x7x7", 2)]
+
+    def test_default_roster_runs_in_each_name_direction(self, tmp_path):
+        # a name ending in _up/_down runs that way; any other name is a
+        # baseline kind with one direction
+        rc = main(["bench", "--shape", "1,2,5,5", "--reps", "1",
+                   "--out", str(tmp_path)])
+        assert rc == 0
+        rows = _read_json(tmp_path / "bench.json")["results"]
+        assert [r["operator"] for r in rows] == list(cli._BENCH_OP_NAMES)
+        for row in rows:
+            name = row["operator"]
+            implied = ("up" if name in UP_KINDS else
+                       "down" if name in DOWN_KINDS else name.rsplit("_", 1)[1])
+            assert row["direction"] == implied, name
+            assert row["shape"] == "1x2x5x5"
+            assert math.isfinite(float(row["checksum"]))
 
     def test_timings_absent_from_json(self, tmp_path):
         # wall-clock numbers live only in the CSV; the JSON report stays

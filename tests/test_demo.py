@@ -174,6 +174,10 @@ class TestNetworks:
             build_net("bottleneck", SlotSpec("nearest_up"), channels=4,
                       sigma=2, rng_shared=rs, rng_slot=rl, dtype=np.float64)
 
+    def test_unknown_slot_option_rejected(self):
+        with pytest.raises(TypeError):
+            SlotSpec("carafe", c_mdi=4)
+
     def test_unknown_arch(self):
         rs, rl = _rngs(5)
         with pytest.raises(ValueError):
