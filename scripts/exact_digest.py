@@ -58,7 +58,8 @@ def _case(rng, dtype):
     yield nn.pixel_unshuffle(_draw(rng, (n, c, s * h, s * w), dtype), s).data
     z = _draw(rng, (n, c * k * k, h, w), dtype)
     yield nn.softmax_group(z, k * k).data
-    yield nn.softmax_group_backward(_draw(rng, z.shape, dtype), z, k * k).data
+    yield nn.softmax_group_backward(_draw(rng, z.shape, dtype),
+                                    nn.softmax_group(z, k * k), k * k).data
     pa = nn.affine_params(c, dtype)
     pa.gamma[:], pa.beta[:] = rng.standard_normal(c), rng.standard_normal(c)
     yield nn.affine_norm(x, pa).data

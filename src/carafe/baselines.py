@@ -29,6 +29,7 @@ from .nn import (ConvLayerParams, _fold, _taps, conv2d_backward,
                  conv2d_forward, conv_params, sigmoid_array,
                  transposed_conv_backward, transposed_conv_forward,
                  transposed_conv_params)
+from .reassembly import CarafeConfig
 from .tensor import Tensor
 
 
@@ -331,9 +332,8 @@ def make_resample_op(kind: str, sigma: int, channels: int | None = None,
 
 
 def resample_output_hw(op: ResampleOp, h: int, w: int) -> tuple[int, int]:
-    if op.direction == "down":
-        return (-(-h // op.sigma), -(-w // op.sigma))
-    return (op.sigma * h, op.sigma * w)
+    """The content-aware operator's output size for op's direction and sigma."""
+    return CarafeConfig(op.direction, op.sigma).output_hw(h, w)
 
 
 def resample_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:

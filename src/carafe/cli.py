@@ -24,17 +24,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import ALL_KINDS, make_resample_op, resample_forward
-from .demo import (ARCHITECTURES, TASK_KINDS, SlotSpec, ToyTask, seeded_net,
-                   train)
+from .demo import (ARCHITECTURES, SLOT_KINDS, TASK_KINDS, SlotSpec, ToyTask,
+                   make_slot_layer, seeded_net, train)
 from .errors import CarafeError, TrainingDiverged
 from .gradcheck import check_op, registered_ops
-from .reassembly import NORMALIZERS, CarafeConfig, carafe_forward, carafe_params
+from .reassembly import NORMALIZERS
 from .tensor import Tensor
 
 _DTYPES = {"single": np.float32, "double": np.float64}
-
-_SLOT_KINDS = ("carafe",) + ALL_KINDS
+_TRI_STATE = {"on": True, "off": False, "default": None}
 
 # A row's position here is its seed key, so appending keeps every checksum.
 _BENCH_OP_NAMES = (
@@ -85,7 +83,7 @@ _FLAGS = {
     "arch": dict(choices=ARCHITECTURES,
                  help="mini net (default upsampler for super_res, "
                       "else bottleneck)"),
-    "operator": dict(choices=_SLOT_KINDS,
+    "operator": dict(choices=SLOT_KINDS,
                      help="what fills the resampler slot"),
     "size": dict(type=int, help="image size"),
     "channels": dict(type=int, help="trunk width"),
@@ -100,7 +98,7 @@ _FLAGS = {
     "k_encoder": dict(type=int, help="encoder kernel size"),
     "k_reassembly": dict(type=int, help="reassembly kernel size"),
     "normalizer": dict(choices=NORMALIZERS, help="kernel normalizer"),
-    "compressor_norm": dict(choices=("on", "off", "default"),
+    "compressor_norm": dict(choices=tuple(_TRI_STATE),
                             help="compressor norm; 'default' follows the "
                                  "direction"),
     "c_mid_grid": dict(help="comma list of compressed-channel counts"),
@@ -146,15 +144,35 @@ def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
     return merged
 
 
-def _resolve_threads(merged: dict) -> int:
-    value = merged.get("threads")
-    if value is None:
-        value = os.environ.get("CARAFE_THREADS", "1")
-    try:
-        threads = int(value)
-    except (TypeError, ValueError):
-        raise SystemExit(f"carafe: error: thread count {value!r} is not an integer")
-    return max(1, threads)
+def _load_config(parser, args, defaults: dict) -> tuple[dict, dict]:
+    """(merged, conf). merged is _merge_config's, as the report records it,
+    with threads resolved ($CARAFE_THREADS, else 1, when unset; at least 1).
+    conf holds each value converted by its _FLAGS type (str if none) and
+    checked against its _FLAGS choices. None passes where the default is
+    None, and compressor_norm also takes a JSON true/false/null. A value
+    that fails is a usage error."""
+    merged = _merge_config(parser, args, defaults)
+    if merged["threads"] is None:
+        merged["threads"] = os.environ.get("CARAFE_THREADS", "1")
+    conf = {}
+    for key, value in merged.items():
+        spec = _FLAGS[key]
+        unset = value is None and defaults[key] is None
+        tri_state = key == "compressor_norm" and (value is None or isinstance(value, bool))
+        if unset or tri_state:
+            conf[key] = value
+            continue
+        if value is None:
+            parser.error(f"{key} must not be null")
+        convert = spec.get("type", str)
+        try:
+            conf[key] = convert(value)
+        except (TypeError, ValueError, OverflowError):
+            parser.error(f"{key} must be {convert.__name__}, got {value!r}")
+        if "choices" in spec and conf[key] not in spec["choices"]:
+            parser.error(f"{key} must be one of {spec['choices']}, got {value!r}")
+    merged["threads"] = conf["threads"] = max(1, conf["threads"])
+    return merged, conf
 
 
 def _stanza(command: str, merged: dict) -> dict:
@@ -180,8 +198,8 @@ def _write_csv(path: Path, header: list, rows: list) -> None:
         writer.writerows(rows)
 
 
-def _out_dir(merged: dict) -> Path:
-    out = Path(merged["out"])
+def _out_dir(conf: dict) -> Path:
+    out = Path(conf["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -202,13 +220,12 @@ def _parse_shape(parser, text: str) -> tuple:
 
 
 def _cmd_gradcheck(parser, args) -> int:
-    merged = _merge_config(parser, args, _GRADCHECK_DEFAULTS)
-    merged["threads"] = _resolve_threads(merged)
+    merged, conf = _load_config(parser, args, _GRADCHECK_DEFAULTS)
     registry = registered_ops()
-    if merged["ops"] == "all":
+    if conf["ops"] == "all":
         names = list(registry)
     else:
-        names = [s.strip() for s in str(merged["ops"]).split(",") if s.strip()]
+        names = [s.strip() for s in conf["ops"].split(",") if s.strip()]
         unknown = [n for n in names if n not in registry]
         if unknown:
             parser.error(
@@ -216,16 +233,14 @@ def _cmd_gradcheck(parser, args) -> int:
                 f"registered ops: {', '.join(registry)}")
     if not names:
         parser.error("empty op list")
-    tol = float(merged["tol"])
-    eps = float(merged["eps"])
-    if eps <= 0:
-        parser.error(f"eps must be > 0, got {eps}")
-    results = [check_op(name, seed=int(merged["seed"]), tol=tol, eps=eps)
+    if conf["eps"] <= 0:
+        parser.error(f"eps must be > 0, got {conf['eps']}")
+    results = [check_op(name, seed=conf["seed"], tol=conf["tol"], eps=conf["eps"])
                for name in names]
     payload = _stanza("gradcheck", merged)
     payload["results"] = [r.to_payload() for r in results]
     payload["passed"] = all(r.passed for r in results)
-    out = _out_dir(merged)
+    out = _out_dir(conf)
     _write_json(out / "gradcheck.json", payload)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0 if payload["passed"] else 1
@@ -236,51 +251,38 @@ def _cmd_gradcheck(parser, args) -> int:
 
 
 def _bench_case(name: str, shape: tuple, sigma: int, seed: int, dtype):
-    """Build (callable, direction) for one roster entry."""
+    """Build (callable, direction) for one roster entry: a slot kind runs in
+    its only direction, any other name reads as <kind>_<direction>."""
     rng = np.random.default_rng(
         np.random.SeedSequence((seed, _BENCH_OP_NAMES.index(name))))
     x = Tensor(rng.standard_normal(shape).astype(dtype))
-    if name in ("carafe_down", "carafe_up"):
-        direction = name.split("_")[1]
-        cfg = CarafeConfig(direction=direction, sigma=sigma)
-        params = carafe_params(shape[1], cfg, rng, dtype)
-        return lambda: carafe_forward(x, params, cfg)[0], direction
-    if name in ("spatial_attention_down", "spatial_attention_up"):
-        direction = name.rsplit("_", 1)[1]
-        op = make_resample_op("spatial_attention", sigma, channels=shape[1],
-                              rng=rng, dtype=dtype, direction=direction)
-    else:
-        op = make_resample_op(name, sigma, channels=shape[1], rng=rng,
-                              dtype=dtype)
-    return lambda: resample_forward(op, x)[0], op.direction
+    kind, direction = (name, None) if name in SLOT_KINDS else name.rsplit("_", 1)
+    layer = make_slot_layer(SlotSpec(kind), direction, sigma, shape[1], rng, dtype)
+    return lambda: layer.forward(x), layer.direction
 
 
 def _cmd_bench(parser, args) -> int:
-    merged = _merge_config(parser, args, _BENCH_DEFAULTS)
-    merged["threads"] = _resolve_threads(merged)
-    names = [s.strip() for s in str(merged["ops"]).split(",") if s.strip()]
+    merged, conf = _load_config(parser, args, _BENCH_DEFAULTS)
+    names = [s.strip() for s in conf["ops"].split(",") if s.strip()]
     unknown = [n for n in names if n not in _BENCH_OP_NAMES]
     if unknown:
         parser.error(f"unknown bench op(s): {', '.join(unknown)}; "
                      f"available: {', '.join(_BENCH_OP_NAMES)}")
     if not names:
         parser.error("empty bench roster")
-    shape = _parse_shape(parser, str(merged["shape"]))
-    sigma = int(merged["sigma"])
-    reps = int(merged["reps"])
-    warmup = int(merged["warmup"])
+    shape = _parse_shape(parser, conf["shape"])
+    sigma, reps, warmup = conf["sigma"], conf["reps"], conf["warmup"]
     if reps < 1 or warmup < 1:
         parser.error("reps and warmup must both be >= 1")
     if sigma < 1:
         parser.error(f"sigma must be >= 1, got {sigma}")
-    dtype = _DTYPES[merged["dtype"]]
-    seed = int(merged["seed"])
     shape_txt = "x".join(str(s) for s in shape)
 
     csv_rows = []
     json_rows = []
     for name in names:
-        fn, direction = _bench_case(name, shape, sigma, seed, dtype)
+        fn, direction = _bench_case(name, shape, sigma, conf["seed"],
+                                    _DTYPES[conf["dtype"]])
         for _ in range(warmup):
             y = fn()
         times = []
@@ -298,7 +300,7 @@ def _cmd_bench(parser, args) -> int:
                           "shape": shape_txt, "sigma": sigma,
                           "checksum": checksum})
 
-    out = _out_dir(merged)
+    out = _out_dir(conf)
     header = ["operator", "direction", "shape", "sigma", "median_ns",
               "p90_ns", "checksum"]
     _write_csv(out / "bench.csv", header, csv_rows)
@@ -315,21 +317,9 @@ def _cmd_bench(parser, args) -> int:
 # train
 
 
-def _tri_state(parser, value) -> bool | None:
-    if isinstance(value, bool) or value is None:
-        return value
-    if value == "on":
-        return True
-    if value == "off":
-        return False
-    if value == "default":
-        return None
-    parser.error(f"compressor_norm must be on/off/default, got {value!r}")
-
-
-def _arch_for(parser, merged: dict) -> str:
-    task = merged["task"]
-    arch = merged["arch"]
+def _arch_for(parser, conf: dict) -> str:
+    task = conf["task"]
+    arch = conf["arch"]
     if arch is None:
         arch = "upsampler" if task == "super_res" else "bottleneck"
     if task == "super_res" and arch != "upsampler":
@@ -340,55 +330,42 @@ def _arch_for(parser, merged: dict) -> str:
     return arch
 
 
-def _build_for_run(merged: dict, slot: SlotSpec, train_kwargs: dict):
-    return seeded_net(merged["arch"], slot, int(merged["channels"]),
-                      int(merged["sigma"]), train_kwargs["seed"],
-                      train_kwargs["dtype"])
+def _build_for_run(conf: dict, slot: SlotSpec, train_kwargs: dict):
+    return seeded_net(conf["arch"], slot, conf["channels"], conf["sigma"],
+                      train_kwargs["seed"], train_kwargs["dtype"])
 
 
 def _setup_run(parser, args, defaults: dict):
-    """Shared head of train and sweep: the merged config (threads and arch
-    resolved), the toy task, and the keyword arguments of train()."""
-    merged = _merge_config(parser, args, defaults)
-    merged["threads"] = _resolve_threads(merged)
-    if merged["task"] not in TASK_KINDS:
-        parser.error(f"task must be one of {TASK_KINDS}")
-    merged["arch"] = _arch_for(parser, merged)
-    seed = int(merged["seed"])
+    """Shared head of train and sweep: the merged and typed configs (arch
+    resolved in both), the toy task, and the keyword arguments of train()."""
+    merged, conf = _load_config(parser, args, defaults)
+    merged["arch"] = conf["arch"] = _arch_for(parser, conf)
     try:
-        task = ToyTask(kind=merged["task"], size=int(merged["size"]),
-                       sigma=int(merged["sigma"]), seed=seed)
-        train_kwargs = dict(
-            epochs=int(merged["epochs"]), lr=float(merged["lr"]),
-            momentum=float(merged["momentum"]),
-            weight_decay=float(merged["weight_decay"]), seed=seed,
-            train_count=int(merged["train_count"]),
-            eval_count=int(merged["eval_count"]),
-            dtype=_DTYPES[merged["dtype"]])
-    except (CarafeError, ValueError) as exc:
+        task = ToyTask(kind=conf["task"], size=conf["size"],
+                       sigma=conf["sigma"], seed=conf["seed"])
+    except CarafeError as exc:
         parser.error(str(exc))
-    return merged, task, train_kwargs
+    train_kwargs = {key: conf[key] for key in (
+        "epochs", "lr", "momentum", "weight_decay", "seed", "train_count",
+        "eval_count")}
+    train_kwargs["dtype"] = _DTYPES[conf["dtype"]]
+    return merged, conf, task, train_kwargs
 
 
 def _cmd_train(parser, args) -> int:
-    merged, task, train_kwargs = _setup_run(parser, args, _TRAIN_DEFAULTS)
-    if merged["operator"] not in _SLOT_KINDS:
-        parser.error(f"operator must be one of {_SLOT_KINDS}")
-    if merged["normalizer"] not in NORMALIZERS:
-        parser.error(f"normalizer must be one of {NORMALIZERS}")
-    compressor_norm = _tri_state(parser, merged["compressor_norm"])
-    slot = SlotSpec(kind=merged["operator"],
-                    k_encoder=int(merged["k_encoder"]),
-                    k_reassembly=int(merged["k_reassembly"]),
-                    c_mid=None if merged["c_mid"] is None else int(merged["c_mid"]),
-                    normalizer=merged["normalizer"],
-                    compressor_norm=compressor_norm)
+    merged, conf, task, train_kwargs = _setup_run(parser, args, _TRAIN_DEFAULTS)
+    slot = SlotSpec(conf["operator"], c_mid=conf["c_mid"],
+                    k_encoder=conf["k_encoder"],
+                    k_reassembly=conf["k_reassembly"],
+                    normalizer=conf["normalizer"],
+                    compressor_norm=_TRI_STATE.get(conf["compressor_norm"],
+                                                   conf["compressor_norm"]))
     try:
-        net = _build_for_run(merged, slot, train_kwargs)
+        net = _build_for_run(conf, slot, train_kwargs)
     except (CarafeError, ValueError) as exc:
         parser.error(str(exc))
 
-    out = _out_dir(merged)
+    out = _out_dir(conf)
     payload = _stanza("train", merged)
     try:
         report = train(net, task, **train_kwargs)
@@ -415,7 +392,7 @@ def _cmd_train(parser, args) -> int:
 
 def _parse_kernel_grid(parser, text: str) -> list:
     pairs = []
-    for chunk in str(text).split(","):
+    for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -436,7 +413,7 @@ def _parse_kernel_grid(parser, text: str) -> list:
 
 def _parse_int_grid(parser, text: str, label: str) -> list:
     try:
-        values = [int(s) for s in str(text).split(",") if s.strip()]
+        values = [int(s) for s in text.split(",") if s.strip()]
     except ValueError:
         parser.error(f"{label} must be comma-separated integers, got {text!r}")
     if not values or any(v < 1 for v in values):
@@ -445,10 +422,10 @@ def _parse_int_grid(parser, text: str, label: str) -> list:
 
 
 def _cmd_sweep(parser, args) -> int:
-    merged, task, train_kwargs = _setup_run(parser, args, _SWEEP_DEFAULTS)
-    c_mids = _parse_int_grid(parser, merged["c_mid_grid"], "c_mid_grid")
-    kernel_pairs = _parse_kernel_grid(parser, merged["kernel_grid"])
-    normalizers = [s.strip() for s in str(merged["normalizer_grid"]).split(",")
+    merged, conf, task, train_kwargs = _setup_run(parser, args, _SWEEP_DEFAULTS)
+    c_mids = _parse_int_grid(parser, conf["c_mid_grid"], "c_mid_grid")
+    kernel_pairs = _parse_kernel_grid(parser, conf["kernel_grid"])
+    normalizers = [s.strip() for s in conf["normalizer_grid"].split(",")
                    if s.strip()]
     bad = [n for n in normalizers if n not in NORMALIZERS]
     if bad or not normalizers:
@@ -467,12 +444,12 @@ def _cmd_sweep(parser, args) -> int:
     def run_cell(cell: dict) -> dict:
         # Every cell reuses the same base seed so cells differ only in the
         # swept parameters; each builds its own rngs/net/data (fully isolated).
-        slot = SlotSpec(kind="carafe", k_encoder=cell["k_encoder"],
+        slot = SlotSpec("carafe", k_encoder=cell["k_encoder"],
                         k_reassembly=cell["k_reassembly"], c_mid=cell["c_mid"],
                         normalizer=cell["normalizer"])
         row = dict(cell)
         try:
-            net = _build_for_run(merged, slot, train_kwargs)
+            net = _build_for_run(conf, slot, train_kwargs)
             report = train(net, task, **train_kwargs)
         except CarafeError as exc:
             status = "diverged" if isinstance(exc, TrainingDiverged) else "error"
@@ -486,10 +463,10 @@ def _cmd_sweep(parser, args) -> int:
                    losses=list(report.losses))
         return row
 
-    with ThreadPoolExecutor(max_workers=merged["threads"]) as pool:
+    with ThreadPoolExecutor(max_workers=conf["threads"]) as pool:
         rows = list(pool.map(run_cell, cells))
 
-    out = _out_dir(merged)
+    out = _out_dir(conf)
     cell_dir = out / "cells"
     cell_dir.mkdir(exist_ok=True)
     for row in rows:

@@ -15,12 +15,14 @@ changes nothing else — identical budgets by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import inspect
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .baselines import make_resample_op, resample_backward, resample_forward
+from .baselines import (ALL_KINDS, make_resample_op, resample_backward,
+                        resample_forward)
 from .errors import GeometryError, ShapeError, TrainingDiverged
 from .nn import (conv2d_backward, conv2d_forward, conv_params, relu,
                  relu_backward, sgd_step, sigmoid_array)
@@ -30,6 +32,7 @@ from .tensor import Tensor
 
 TASK_KINDS = ("super_res", "inpaint", "seg2")
 ARCHITECTURES = ("upsampler", "bottleneck", "fpn")
+SLOT_KINDS = ("carafe",) + ALL_KINDS
 
 
 @dataclass(frozen=True)
@@ -217,6 +220,7 @@ class CarafeLayer:
     def __init__(self, params, cfg: CarafeConfig):
         self.params = params
         self.cfg = cfg
+        self.direction = cfg.direction
         self._cache = None
 
     def forward(self, x: Tensor) -> Tensor:
@@ -233,6 +237,7 @@ class CarafeLayer:
 class BaselineLayer:
     def __init__(self, op):
         self.op = op
+        self.direction = op.direction
         self._cache = None
 
     def forward(self, x: Tensor) -> Tensor:
@@ -250,30 +255,23 @@ class BaselineLayer:
 # nets
 
 
-@dataclass(frozen=True)
 class SlotSpec:
-    """What fills a net's resampler slot: the content-aware op or a baseline."""
+    """What fills a net's resampler slot: a kind from SLOT_KINDS and the
+    CarafeConfig options past direction and sigma, which only carafe reads.
+    An option CarafeConfig does not take raises TypeError here."""
 
-    kind: str
-    k_encoder: int = 3
-    k_reassembly: int = 5
-    c_mid: Optional[int] = None
-    normalizer: str = "softmax"
-    compressor_norm: Optional[bool] = None
-
-    @property
-    def name(self) -> str:
-        return self.kind
+    def __init__(self, kind: str, **options):
+        inspect.signature(CarafeConfig).bind("up", 1, **options)
+        self.kind = kind
+        self.options = options
 
 
-def _make_slot_layer(spec: SlotSpec, direction: str, sigma: int, channels: int,
-                     rng: np.random.Generator, dtype):
+def make_slot_layer(spec: SlotSpec, direction: Optional[str], sigma: int,
+                    channels: int, rng: np.random.Generator, dtype):
+    """The layer that fills a slot, resampling in direction; None stands for
+    the only direction of a baseline kind that has one."""
     if spec.kind == "carafe":
-        cfg = CarafeConfig(direction=direction, sigma=sigma,
-                           k_encoder=spec.k_encoder,
-                           k_reassembly=spec.k_reassembly, c_mid=spec.c_mid,
-                           normalizer=spec.normalizer,
-                           compressor_norm=spec.compressor_norm)
+        cfg = CarafeConfig(direction, sigma, **spec.options)
         return CarafeLayer(carafe_params(channels, cfg, rng, dtype), cfg)
     return BaselineLayer(make_resample_op(spec.kind, sigma, channels=channels,
                                           rng=rng, dtype=dtype,
@@ -365,28 +363,28 @@ def build_net(arch: str, slot: SlotSpec, channels: int, sigma: int,
         layers = [
             ConvLayer(conv_params(channels, 1, 3, rng_shared, dtype), 1, 1),
             ReluLayer(),
-            _make_slot_layer(slot, "up", sigma, channels, rng_slot, dtype),
+            make_slot_layer(slot, "up", sigma, channels, rng_slot, dtype),
             ConvLayer(conv_params(1, channels, 3, rng_shared, dtype), 1, 1),
         ]
-        return MiniNet(layers, slot.name)
+        return MiniNet(layers, slot.kind)
     if arch == "bottleneck":
         layers = [
             ConvLayer(conv_params(channels, 1, 3, rng_shared, dtype), 1, 1),
             ReluLayer(),
-            _make_slot_layer(slot, "down", sigma, channels, rng_slot, dtype),
+            make_slot_layer(slot, "down", sigma, channels, rng_slot, dtype),
             ConvLayer(conv_params(channels, channels, 3, rng_shared, dtype), 1, 1),
             ReluLayer(),
             BaselineLayer(make_resample_op("nearest_up", sigma)),
             ConvLayer(conv_params(1, channels, 3, rng_shared, dtype), 1, 1),
         ]
-        return MiniNet(layers, slot.name)
+        return MiniNet(layers, slot.kind)
     stem = ConvLayer(conv_params(channels, 1, 3, rng_shared, dtype), 1, 1)
     down = ConvLayer(conv_params(channels, channels, 3, rng_shared, dtype), sigma, 1)
     lat_hi = ConvLayer(conv_params(channels, channels, 1, rng_shared, dtype), 1, 0)
     lat_lo = ConvLayer(conv_params(channels, channels, 1, rng_shared, dtype), 1, 0)
     head = ConvLayer(conv_params(1, channels, 3, rng_shared, dtype), 1, 1)
-    slot_layer = _make_slot_layer(slot, "up", sigma, channels, rng_slot, dtype)
-    return MiniFpn(stem, down, lat_hi, lat_lo, slot_layer, head, slot.name)
+    slot_layer = make_slot_layer(slot, "up", sigma, channels, rng_slot, dtype)
+    return MiniFpn(stem, down, lat_hi, lat_lo, slot_layer, head, slot.kind)
 
 
 def seeded_net(arch: str, slot: SlotSpec, channels: int, sigma: int, seed: int,
@@ -408,7 +406,7 @@ class TrainRunReport:
     """Loss series plus the final held-out metric for one training run."""
 
     operator: str
-    task_kind: str
+    task: str
     seed: int
     epochs: int
     lr: float
@@ -419,18 +417,7 @@ class TrainRunReport:
 
     def to_payload(self) -> dict:
         """JSON-ready dict; runs record no timings (timing: excluded)."""
-        return {
-            "operator": self.operator,
-            "task": self.task_kind,
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "lr": self.lr,
-            "losses": list(self.losses),
-            "final_loss": self.final_loss,
-            "metric_name": self.metric_name,
-            "final_metric": self.final_metric,
-            "timing": "excluded",
-        }
+        return {**asdict(self), "timing": "excluded"}
 
 
 def _task_loss(task: ToyTask):
@@ -464,7 +451,7 @@ def train(net, task: ToyTask, epochs: int, lr: float, momentum: float = 0.9,
     x, y = dataset_batch(task, train_count, dtype)
     loss_fn = _task_loss(task)
     report = TrainRunReport(operator=getattr(net, "slot_name", "?"),
-                            task_kind=task.kind,
+                            task=task.kind,
                             seed=task.seed if seed is None else seed,
                             epochs=epochs, lr=lr,
                             metric_name=task.metric_name)
@@ -498,15 +485,6 @@ class OperatorSummary:
     sd: float
     delta_vs_carafe: Optional[float]
 
-    def to_payload(self) -> dict:
-        return {
-            "operator": self.operator,
-            "per_seed": list(self.per_seed),
-            "mean": self.mean,
-            "sd": self.sd,
-            "delta_vs_carafe": self.delta_vs_carafe,
-        }
-
 
 def compare_operators(task: ToyTask, roster: list, seeds, arch: str,
                       channels: int = 8, epochs: int = 40, lr: float = 0.05,
@@ -531,7 +509,7 @@ def compare_operators(task: ToyTask, roster: list, seeds, arch: str,
                         weight_decay, seed=seed, train_count=train_count,
                         eval_count=eval_count, dtype=dtype)
             per_seed.append(rep.final_metric)
-        rows.append((spec.name, tuple(per_seed)))
+        rows.append((spec.kind, tuple(per_seed)))
     carafe_mean = None
     for name, per_seed in rows:
         if name == "carafe":

@@ -212,7 +212,8 @@ def _build_softmax_group(seed: int) -> CheckProblem:
     rng = np.random.default_rng(seed)
     x = rng.uniform(-2, 2, size=(1, 25, 3, 3))
     return _problem(rng, lambda: nn.softmax_group(Tensor(x), 25),
-                    lambda g: nn.softmax_group_backward(g, Tensor(x), 25),
+                    lambda g: nn.softmax_group_backward(
+                        g, nn.softmax_group(Tensor(x), 25), 25),
                     [("x", x)])
 
 

@@ -469,13 +469,19 @@ def softmax_group(x: Tensor, group: int) -> Tensor:
     return Tensor(y.reshape(n, c, h, w))
 
 
-def softmax_group_backward(grad_out: Tensor, x: Tensor, group: int) -> Tensor:
-    """Adjoint of softmax_group: dz = y * (g - sum(g*y)) per group."""
-    if grad_out.shape != x.shape:
-        raise ShapeError(f"grad shape {grad_out.shape} != input shape {x.shape}")
-    n, c, h, w = x.shape
+def softmax_group_backward(grad_out: Tensor, y: Tensor, group: int) -> Tensor:
+    """Adjoint of softmax_group: dz = y * (g - sum(g*y)) per group.
+
+    The second argument is softmax_group's output y. It used to be the
+    logits, from which the backward ran the forward a second time.
+    """
+    if grad_out.shape != y.shape:
+        raise ShapeError(f"grad shape {grad_out.shape} != output shape {y.shape}")
+    n, c, h, w = y.shape
+    if group < 1 or c % group != 0:
+        raise ShapeError(f"channels {c} not divisible by group size {group}")
     ngroups = c // group
-    y = softmax_group(x, group).data.reshape(n, ngroups, group, h, w)
+    y = y.data.reshape(n, ngroups, group, h, w)
     g = grad_out.data.reshape(n, ngroups, group, h, w)
     dz = y * (g - _fold(g * y, 2)[:, :, None])
     return Tensor(dz.reshape(n, c, h, w))

@@ -257,7 +257,7 @@ def _normalize_backward(grad_kf: np.ndarray, cache: CarafeCache) -> Tensor:
     cfg = cache.cfg
     g = cfg.kernel_channels
     if cfg.normalizer == "softmax":
-        return softmax_group_backward(Tensor(grad_kf), cache.logits, g)
+        return softmax_group_backward(Tensor(grad_kf), cache.kf.tensor, g)
     s = cache.sig
     if cfg.normalizer == "sigmoid":
         return Tensor(grad_kf * s * (1.0 - s))

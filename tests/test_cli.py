@@ -352,6 +352,40 @@ class TestConfigFile:
         report = _read_json(tmp_path / "report.json")
         assert report["config"]["operator"] == "max_pool"
 
+    @pytest.mark.parametrize("command, config", [
+        ("train", {"k_encoder": "x"}), ("train", {"c_mid": "x"}),
+        ("gradcheck", {"tol": "x"}), ("gradcheck", {"eps": "x"}),
+        ("bench", {"sigma": "x"}), ("bench", {"warmup": "x"}),
+        *[(command, {"seed": "x"}) for command in DEFAULTS],
+        *[(command, {"dtype": "half"}) for command in ("bench", "train", "sweep")],
+    ])
+    def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command,
+                                             config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(cfg), "--out", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(DEFAULTS))
+    def test_bad_threads_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                        command):
+        monkeypatch.setenv("CARAFE_THREADS", "x")
+        for argv in ([command], [command, "--threads", "x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--out", str(tmp_path)])
+            assert exc.value.code == 2
+            assert "Traceback" not in capsys.readouterr().err
+
+    def test_json_bool_compressor_norm_accepted(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"compressor_norm": True, "task": "seg2",
+                                   "size": 8, "epochs": 1, "channels": 4,
+                                   "c_mid": 4}))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert _read_json(tmp_path / "report.json")["config"]["compressor_norm"] is True
+
     def test_unknown_config_key_is_usage_error(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epohcs": 2}))
