@@ -303,6 +303,10 @@ class TestTrainCommand:
         ["sweep", "--size", "3"],
         ["sweep", "--sigma", "3"],
         ["train", "--channels", "0"],
+        ["train", "--task", "seg2", "--operator", "nearest_up"],
+        ["sweep", "--kernel-grid", "3"],
+        ["sweep", "--c-mid-grid", "0"],
+        ["sweep", "--normalizer-grid", "bogus"],
     ])
     def test_bad_task_or_net_is_usage_error(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -417,6 +421,25 @@ class TestDeterminism:
         jb = (b / "report.json").read_bytes()
         assert ja.replace(str(a).encode(), b"OUT") == \
             jb.replace(str(b).encode(), b"OUT")
+
+    def test_sweep_outputs_identical_across_threaded_runs(self, tmp_path):
+        # two worker threads finish cells in either order; every file still
+        # lists them in grid order
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            main(["sweep", "--task", "seg2", "--size", "8", "--epochs", "2",
+                  "--channels", "4", "--c-mid-grid", "2,4",
+                  "--kernel-grid", "1:3,3:5", "--threads", "2",
+                  "--out", str(out)])
+        names = [p.relative_to(outs[0]) for p in sorted(outs[0].rglob("*"))
+                 if p.is_file()]
+        assert len(names) == 6
+        assert names == [p.relative_to(outs[1])
+                         for p in sorted(outs[1].rglob("*")) if p.is_file()]
+        for name in names:
+            a, b = ((out / name).read_bytes().replace(str(out).encode(), b"OUT")
+                    for out in outs)
+            assert a == b, name
 
 
 class TestSweepCommand:
