@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import ContractError, GeometryError
 from .nn import (ConvLayerParams, _fold, _taps, conv2d_backward,
                  conv2d_forward, conv_params, sigmoid_array,
                  transposed_conv_backward, transposed_conv_forward,
@@ -101,11 +101,11 @@ def _bilinear_up_adjoint(go: np.ndarray, geom: tuple) -> np.ndarray:
 
 
 def _pool_geometry(h: int, w: int, sigma: int) -> tuple[int, int, int, int]:
-    """(h_out, w_out, pad_lo, pad_hi) of a sigma-window pool. Window tap t
-    reads padded row sigma*i + t, so pad_lo = sigma // 2 centers odd windows
-    and pad_lo = 0 anchors even ones top-left."""
-    h_out = -(-h // sigma)
-    w_out = -(-w // sigma)
+    """(h_out, w_out, pad_lo, pad_hi) of a sigma-window pool, whose output
+    size is the down operator's. Window tap t reads padded row sigma*i + t,
+    so pad_lo = sigma // 2 centers odd windows and pad_lo = 0 anchors even
+    ones top-left."""
+    h_out, w_out = CarafeConfig("down", sigma).output_hw(h, w)
     pad_lo = sigma // 2 if sigma % 2 else 0
     pad_hi = max(0, sigma * h_out - h - pad_lo, sigma * w_out - w - pad_lo)
     return h_out, w_out, pad_lo, pad_hi
@@ -305,7 +305,7 @@ def _kind(name: str) -> _Kind:
     try:
         return _KINDS[name]
     except KeyError:
-        raise ValueError(
+        raise ContractError(
             f"unknown resample kind {name!r}; choose from {ALL_KINDS}") from None
 
 
@@ -319,14 +319,14 @@ def make_resample_op(kind: str, sigma: int, channels: int | None = None,
     inferred = spec.direction
     if inferred is None:
         if direction not in ("down", "up"):
-            raise ValueError(f"{kind} needs an explicit direction ('down' or 'up')")
+            raise GeometryError(f"{kind} needs an explicit direction ('down' or 'up')")
         inferred = direction
     if direction is not None and direction != inferred:
-        raise ValueError(f"{kind} resamples {inferred}, not {direction}")
+        raise GeometryError(f"{kind} resamples {inferred}, not {direction}")
     params = None
     if spec.params is not None:
         if channels is None:
-            raise ValueError(f"{kind} is learned; pass the channel count")
+            raise ContractError(f"{kind} is learned; pass the channel count")
         params = spec.params(channels, sigma, rng, dtype)
     return ResampleOp(kind=kind, sigma=sigma, direction=inferred, params=params)
 

@@ -6,6 +6,10 @@ command, seed, full merged config) into its JSON report, and JSON reports
 never contain wall-clock values — timings live only in bench CSV columns, so
 re-running any (config, seed) pair reproduces the JSON byte for byte.
 
+Every setting is checked before a run starts, and a bad one is a usage
+error: its type, choices and sign in _load_config, comma lists in
+_parse_list, and the carafe options by CarafeConfig, through SlotSpec.
+
 Exit codes: 0 success, 1 check/experiment failure, 2 usage error.
 """
 
@@ -113,6 +117,9 @@ _FLAGS = {
 }
 # Every subcommand ends with --config and then these flags.
 _COMMON_KEYS = ("seed", "threads", "out")
+# Config keys whose value must be > 0.
+_POSITIVE = {"eps", "sigma", "reps", "warmup", "epochs", "train_count",
+             "eval_count"}
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +154,10 @@ def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 def _load_config(parser, args, defaults: dict) -> tuple[dict, dict]:
     """(merged, conf). merged is _merge_config's, as the report records it,
     with threads resolved ($CARAFE_THREADS, else 1, when unset; at least 1).
-    conf holds each value converted by its _FLAGS type (str if none) and
-    checked against its _FLAGS choices. None passes where the default is
-    None, and compressor_norm also takes a JSON true/false/null. A value
-    that fails is a usage error."""
+    conf holds each value converted by its _FLAGS type (str if none),
+    checked against its _FLAGS choices and, for a _POSITIVE key, to be > 0.
+    None passes where the default is None, and compressor_norm also takes a
+    JSON true/false/null. A value that fails is a usage error."""
     merged = _merge_config(parser, args, defaults)
     if merged["threads"] is None:
         merged["threads"] = os.environ.get("CARAFE_THREADS", "1")
@@ -165,14 +172,50 @@ def _load_config(parser, args, defaults: dict) -> tuple[dict, dict]:
         if value is None:
             parser.error(f"{key} must not be null")
         convert = spec.get("type", str)
-        try:
-            conf[key] = convert(value)
-        except (TypeError, ValueError, OverflowError):
-            parser.error(f"{key} must be {convert.__name__}, got {value!r}")
+        conf[key] = _typed(parser, key, value, convert, convert.__name__)
         if "choices" in spec and conf[key] not in spec["choices"]:
             parser.error(f"{key} must be one of {spec['choices']}, got {value!r}")
+        if key in _POSITIVE and conf[key] <= 0:
+            parser.error(f"{key} must be > 0, got {value!r}")
     merged["threads"] = conf["threads"] = max(1, conf["threads"])
     return merged, conf
+
+
+def _typed(parser, key: str, value, convert, what: str):
+    """convert(value); a value convert cannot take is a usage error."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        parser.error(f"{key} must be {what}, got {value!r}")
+
+
+def _parse_list(parser, key: str, text: str, convert=str,
+                choices=None) -> list:
+    """The items of the comma list text, blanks dropped, each converted and,
+    given choices, one of them. A malformed (see _FLAGS[key]'s help) or
+    unknown item, or an empty list, is a usage error."""
+    items = [_typed(parser, key, s.strip(), convert, _FLAGS[key]["help"])
+             for s in text.split(",") if s.strip()]
+    unknown = [i for i in items if choices is not None and i not in choices]
+    if unknown:
+        parser.error(f"unknown {key}: {', '.join(unknown)}; "
+                     f"choose from {', '.join(choices)}")
+    if not items:
+        parser.error(f"empty {key}")
+    return items
+
+
+def _kernel_pair(item: str) -> tuple:
+    k_enc, k_re = item.split(":")
+    return int(k_enc), int(k_re)
+
+
+def _or_usage_error(parser, build, *args, **kwargs):
+    """build(*args, **kwargs); a CarafeError it raises is a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except CarafeError as exc:
+        parser.error(str(exc))
 
 
 def _stanza(command: str, merged: dict) -> dict:
@@ -204,17 +247,6 @@ def _out_dir(conf: dict) -> Path:
     return out
 
 
-def _parse_shape(parser, text: str) -> tuple:
-    parts = text.replace("x", ",").split(",")
-    try:
-        shape = tuple(int(p) for p in parts)
-    except ValueError:
-        parser.error(f"bad shape {text!r}; expected N,C,H,W")
-    if len(shape) != 4 or any(s < 1 for s in shape):
-        parser.error(f"bad shape {text!r}; expected four positive dims")
-    return shape
-
-
 # ---------------------------------------------------------------------------
 # gradcheck
 
@@ -222,19 +254,8 @@ def _parse_shape(parser, text: str) -> tuple:
 def _cmd_gradcheck(parser, args) -> int:
     merged, conf = _load_config(parser, args, _GRADCHECK_DEFAULTS)
     registry = registered_ops()
-    if conf["ops"] == "all":
-        names = list(registry)
-    else:
-        names = [s.strip() for s in conf["ops"].split(",") if s.strip()]
-        unknown = [n for n in names if n not in registry]
-        if unknown:
-            parser.error(
-                f"unknown op name(s): {', '.join(unknown)}; "
-                f"registered ops: {', '.join(registry)}")
-    if not names:
-        parser.error("empty op list")
-    if conf["eps"] <= 0:
-        parser.error(f"eps must be > 0, got {conf['eps']}")
+    names = (registry if conf["ops"] == "all"
+             else _parse_list(parser, "ops", conf["ops"], choices=registry))
     results = [check_op(name, seed=conf["seed"], tol=conf["tol"], eps=conf["eps"])
                for name in names]
     payload = _stanza("gradcheck", merged)
@@ -263,19 +284,12 @@ def _bench_case(name: str, shape: tuple, sigma: int, seed: int, dtype):
 
 def _cmd_bench(parser, args) -> int:
     merged, conf = _load_config(parser, args, _BENCH_DEFAULTS)
-    names = [s.strip() for s in conf["ops"].split(",") if s.strip()]
-    unknown = [n for n in names if n not in _BENCH_OP_NAMES]
-    if unknown:
-        parser.error(f"unknown bench op(s): {', '.join(unknown)}; "
-                     f"available: {', '.join(_BENCH_OP_NAMES)}")
-    if not names:
-        parser.error("empty bench roster")
-    shape = _parse_shape(parser, conf["shape"])
+    names = _parse_list(parser, "ops", conf["ops"], choices=_BENCH_OP_NAMES)
+    shape = tuple(_parse_list(parser, "shape", conf["shape"].replace("x", ","),
+                              int))
+    if len(shape) != 4 or min(shape) < 1:
+        parser.error(f"bad shape {conf['shape']!r}; expected four positive dims")
     sigma, reps, warmup = conf["sigma"], conf["reps"], conf["warmup"]
-    if reps < 1 or warmup < 1:
-        parser.error("reps and warmup must both be >= 1")
-    if sigma < 1:
-        parser.error(f"sigma must be >= 1, got {sigma}")
     shape_txt = "x".join(str(s) for s in shape)
 
     csv_rows = []
@@ -330,9 +344,18 @@ def _arch_for(parser, conf: dict) -> str:
     return arch
 
 
-def _build_for_run(conf: dict, slot: SlotSpec, train_kwargs: dict):
-    return seeded_net(conf["arch"], slot, conf["channels"], conf["sigma"],
-                      train_kwargs["seed"], train_kwargs["dtype"])
+def _run(conf: dict, slot: SlotSpec, task: ToyTask, train_kwargs: dict):
+    """(status, error, report) of train() on the net seeded_net builds: ok,
+    diverged, or error for any other CarafeError (a net that cannot be
+    built, say); report is None unless the status is ok."""
+    try:
+        net = seeded_net(conf["arch"], slot, conf["channels"], conf["sigma"],
+                         train_kwargs["seed"], train_kwargs["dtype"])
+        return "ok", None, train(net, task, **train_kwargs)
+    except TrainingDiverged as exc:
+        return "diverged", str(exc), None
+    except CarafeError as exc:
+        return "error", str(exc), None
 
 
 def _setup_run(parser, args, defaults: dict):
@@ -340,11 +363,8 @@ def _setup_run(parser, args, defaults: dict):
     resolved in both), the toy task, and the keyword arguments of train()."""
     merged, conf = _load_config(parser, args, defaults)
     merged["arch"] = conf["arch"] = _arch_for(parser, conf)
-    try:
-        task = ToyTask(kind=conf["task"], size=conf["size"],
-                       sigma=conf["sigma"], seed=conf["seed"])
-    except CarafeError as exc:
-        parser.error(str(exc))
+    task = _or_usage_error(parser, ToyTask, kind=conf["task"], size=conf["size"],
+                           sigma=conf["sigma"], seed=conf["seed"])
     train_kwargs = {key: conf[key] for key in (
         "epochs", "lr", "momentum", "weight_decay", "seed", "train_count",
         "eval_count")}
@@ -354,28 +374,24 @@ def _setup_run(parser, args, defaults: dict):
 
 def _cmd_train(parser, args) -> int:
     merged, conf, task, train_kwargs = _setup_run(parser, args, _TRAIN_DEFAULTS)
-    slot = SlotSpec(conf["operator"], c_mid=conf["c_mid"],
-                    k_encoder=conf["k_encoder"],
-                    k_reassembly=conf["k_reassembly"],
-                    normalizer=conf["normalizer"],
-                    compressor_norm=_TRI_STATE.get(conf["compressor_norm"],
-                                                   conf["compressor_norm"]))
-    try:
-        net = _build_for_run(conf, slot, train_kwargs)
-    except (CarafeError, ValueError) as exc:
-        parser.error(str(exc))
+    slot = _or_usage_error(
+        parser, SlotSpec, conf["operator"], c_mid=conf["c_mid"],
+        k_encoder=conf["k_encoder"], k_reassembly=conf["k_reassembly"],
+        normalizer=conf["normalizer"],
+        compressor_norm=_TRI_STATE.get(conf["compressor_norm"],
+                                       conf["compressor_norm"]))
+    status, error, report = _run(conf, slot, task, train_kwargs)
+    if status == "error":
+        parser.error(error)
 
     out = _out_dir(conf)
     payload = _stanza("train", merged)
-    try:
-        report = train(net, task, **train_kwargs)
-    except TrainingDiverged as exc:
-        payload["status"] = "diverged"
-        payload["error"] = str(exc)
+    payload["status"] = status
+    if status == "diverged":
+        payload["error"] = error
         _write_json(out / "report.json", payload)
-        print(f"training diverged: {exc}", file=sys.stderr)
+        print(f"training diverged: {error}", file=sys.stderr)
         return 1
-    payload["status"] = "ok"
     payload["result"] = report.to_payload()
     _write_json(out / "report.json", payload)
     _write_csv(out / "losses.csv", ["step", "loss"],
@@ -390,77 +406,35 @@ def _cmd_train(parser, args) -> int:
 # sweep
 
 
-def _parse_kernel_grid(parser, text: str) -> list:
-    pairs = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(":")
-        if len(parts) != 2:
-            parser.error(f"kernel grid entry {chunk!r} must be k_enc:k_re")
-        try:
-            k_enc, k_re = int(parts[0]), int(parts[1])
-        except ValueError:
-            parser.error(f"kernel grid entry {chunk!r} must be two integers")
-        if k_enc < 1 or k_re < 1 or k_enc % 2 == 0 or k_re % 2 == 0:
-            parser.error(f"kernel sizes must be odd and positive, got {chunk!r}")
-        pairs.append((k_enc, k_re))
-    if not pairs:
-        parser.error("empty kernel grid")
-    return pairs
-
-
-def _parse_int_grid(parser, text: str, label: str) -> list:
-    try:
-        values = [int(s) for s in text.split(",") if s.strip()]
-    except ValueError:
-        parser.error(f"{label} must be comma-separated integers, got {text!r}")
-    if not values or any(v < 1 for v in values):
-        parser.error(f"{label} must be positive integers, got {text!r}")
-    return values
-
-
 def _cmd_sweep(parser, args) -> int:
     merged, conf, task, train_kwargs = _setup_run(parser, args, _SWEEP_DEFAULTS)
-    c_mids = _parse_int_grid(parser, conf["c_mid_grid"], "c_mid_grid")
-    kernel_pairs = _parse_kernel_grid(parser, conf["kernel_grid"])
-    normalizers = [s.strip() for s in conf["normalizer_grid"].split(",")
-                   if s.strip()]
-    bad = [n for n in normalizers if n not in NORMALIZERS]
-    if bad or not normalizers:
-        parser.error(f"normalizer_grid entries must be in {NORMALIZERS}")
-
+    grid = product(
+        _parse_list(parser, "c_mid_grid", conf["c_mid_grid"], int),
+        _parse_list(parser, "kernel_grid", conf["kernel_grid"], _kernel_pair),
+        _parse_list(parser, "normalizer_grid", conf["normalizer_grid"]))
     cells = []
-    for idx, (c_mid, (k_enc, k_re), norm) in enumerate(
-            product(c_mids, kernel_pairs, normalizers)):
-        cells.append({
+    for idx, (c_mid, (k_enc, k_re), norm) in enumerate(grid):
+        slot = _or_usage_error(parser, SlotSpec, "carafe", c_mid=c_mid,
+                               k_encoder=k_enc, k_reassembly=k_re,
+                               normalizer=norm)
+        cells.append((slot, {
             "index": idx,
             "name": f"cell{idx:03d}_cmid{c_mid}_enc{k_enc}_re{k_re}_{norm}",
             "c_mid": c_mid, "k_encoder": k_enc, "k_reassembly": k_re,
             "normalizer": norm, "diagonal": k_enc == k_re - 2,
-        })
+        }))
 
-    def run_cell(cell: dict) -> dict:
+    def run_cell(cell: tuple) -> dict:
         # Every cell reuses the same base seed so cells differ only in the
         # swept parameters; each builds its own rngs/net/data (fully isolated).
-        slot = SlotSpec("carafe", k_encoder=cell["k_encoder"],
-                        k_reassembly=cell["k_reassembly"], c_mid=cell["c_mid"],
-                        normalizer=cell["normalizer"])
-        row = dict(cell)
-        try:
-            net = _build_for_run(conf, slot, train_kwargs)
-            report = train(net, task, **train_kwargs)
-        except CarafeError as exc:
-            status = "diverged" if isinstance(exc, TrainingDiverged) else "error"
-            row.update(status=status, error=str(exc), final_loss=None,
-                       final_metric=None, metric_name=task.metric_name,
-                       losses=[])
-            return row
-        row.update(status="ok", error=None, final_loss=report.final_loss,
-                   final_metric=report.final_metric,
-                   metric_name=report.metric_name,
-                   losses=list(report.losses))
+        slot, row = cell
+        status, error, report = _run(conf, slot, task, train_kwargs)
+        row = dict(row, status=status, error=error, final_loss=None,
+                   final_metric=None, metric_name=task.metric_name, losses=[])
+        if report is not None:
+            row.update(final_loss=report.final_loss,
+                       final_metric=report.final_metric,
+                       losses=list(report.losses))
         return row
 
     with ThreadPoolExecutor(max_workers=conf["threads"]) as pool:

@@ -15,7 +15,6 @@ changes nothing else — identical budgets by construction.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
@@ -23,7 +22,7 @@ import numpy as np
 
 from .baselines import (ALL_KINDS, make_resample_op, resample_backward,
                         resample_forward)
-from .errors import GeometryError, ShapeError, TrainingDiverged
+from .errors import ContractError, GeometryError, ShapeError, TrainingDiverged
 from .nn import (conv2d_backward, conv2d_forward, conv_params, relu,
                  relu_backward, sgd_step, sigmoid_array)
 from .reassembly import (CarafeConfig, carafe_backward, carafe_forward,
@@ -46,7 +45,7 @@ class ToyTask:
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
-            raise ValueError(f"task kind must be one of {TASK_KINDS}, got {self.kind!r}")
+            raise ContractError(f"task kind must be one of {TASK_KINDS}, got {self.kind!r}")
         if self.size < 4:
             raise GeometryError(f"task size must be >= 4, got {self.size}")
         if self.sigma < 1:
@@ -103,7 +102,7 @@ def make_dataset(task: ToyTask, count: int, dtype=np.float64
                  ) -> list[tuple[Tensor, Tensor]]:
     """count (input, target) pairs, deterministic per (task, count prefix)."""
     if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+        raise ContractError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(task.seed)
     dt = np.dtype(dtype)
     out = []
@@ -258,10 +257,11 @@ class BaselineLayer:
 class SlotSpec:
     """What fills a net's resampler slot: a kind from SLOT_KINDS and the
     CarafeConfig options past direction and sigma, which only carafe reads.
-    An option CarafeConfig does not take raises TypeError here."""
+    The options are checked here, whatever the kind: an option CarafeConfig
+    does not take raises TypeError, a bad value CarafeConfig's CarafeError."""
 
     def __init__(self, kind: str, **options):
-        inspect.signature(CarafeConfig).bind("up", 1, **options)
+        CarafeConfig("up", 1, **options)
         self.kind = kind
         self.options = options
 
@@ -358,7 +358,7 @@ def build_net(arch: str, slot: SlotSpec, channels: int, sigma: int,
     fpn: two-level top-down fusion with the slot as its upsampler.
     """
     if arch not in ARCHITECTURES:
-        raise ValueError(f"arch must be one of {ARCHITECTURES}, got {arch!r}")
+        raise ContractError(f"arch must be one of {ARCHITECTURES}, got {arch!r}")
     if arch == "upsampler":
         layers = [
             ConvLayer(conv_params(channels, 1, 3, rng_shared, dtype), 1, 1),
@@ -442,12 +442,16 @@ def train(net, task: ToyTask, epochs: int, lr: float, momentum: float = 0.9,
           dtype=np.float64) -> TrainRunReport:
     """Full-batch SGD on the task's dataset.
 
-    A step that overflows, makes an invalid value or ends at a non-finite
-    loss raises TrainingDiverged. seed defaults to task.seed and is recorded
-    in the report; the dataset itself is generated from task.seed.
+    epochs, train_count and eval_count below 1 raise ContractError before
+    any step. A step that overflows, makes an invalid value or ends at a
+    non-finite loss raises TrainingDiverged. seed defaults to task.seed and
+    is recorded in the report; the dataset itself is generated from
+    task.seed.
     """
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+    for name, value in (("epochs", epochs), ("train_count", train_count),
+                        ("eval_count", eval_count)):
+        if value < 1:
+            raise ContractError(f"{name} must be >= 1, got {value}")
     x, y = dataset_batch(task, train_count, dtype)
     loss_fn = _task_loss(task)
     report = TrainRunReport(operator=getattr(net, "slot_name", "?"),
@@ -499,7 +503,7 @@ def compare_operators(task: ToyTask, roster: list, seeds, arch: str,
     carafe row exists.
     """
     if not roster:
-        raise ValueError("roster must not be empty")
+        raise ContractError("roster must not be empty")
     rows = []
     for spec in roster:
         per_seed = []

@@ -1,7 +1,11 @@
 """Exception taxonomy shared across the package.
 
 Everything raised on purpose derives from CarafeError so callers can catch
-the package's failures without also swallowing programming errors.
+the package's failures without also swallowing programming errors. The
+one exception is gradcheck's KeyError for an op or target name it does not
+hold, raised as a mapping lookup would. The types that reject a value
+(ShapeError, GeometryError, KernelSizeError, ContractError, FormatError)
+also derive from ValueError.
 """
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import baselines, nn, reassembly
-from .errors import NumericError
+from .errors import ContractError, NumericError, ShapeError
 from .tensor import Tensor
 
 DEFAULT_TOL = 1e-5
@@ -61,7 +61,7 @@ def finite_diff_array(loss_fn: Callable[[], float], arr: np.ndarray,
     Step per element is eps * max(1, |value|). arr is restored exactly.
     """
     if eps <= 0:
-        raise ValueError(f"eps must be > 0, got {eps}")
+        raise ContractError(f"eps must be > 0, got {eps}")
     grad = np.zeros(arr.shape, dtype=np.float64)
     flat = arr.reshape(-1)
     gflat = grad.reshape(-1)
@@ -116,7 +116,7 @@ def check_problem(name: str, problem: CheckProblem, tol: float = DEFAULT_TOL,
         numeric = finite_diff_array(problem.loss, arr, eps)
         ana = np.asarray(analytic[label], dtype=np.float64)
         if ana.shape != numeric.shape:
-            raise ValueError(
+            raise ShapeError(
                 f"analytic grad for {label!r} has shape {ana.shape}, "
                 f"expected {numeric.shape}")
         rel = relative_error(ana, numeric)

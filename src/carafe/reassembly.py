@@ -64,7 +64,7 @@ class CarafeConfig:
 
     def __post_init__(self):
         if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
+            raise GeometryError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
         if not isinstance(self.sigma, int) or isinstance(self.sigma, bool):
             raise GeometryError(f"sigma must be an integer, got {self.sigma!r}")
         if self.sigma < 1:
@@ -76,9 +76,9 @@ class CarafeConfig:
         if self.c_mid is None:
             object.__setattr__(self, "c_mid", _C_MID_DEFAULT[self.direction])
         if self.c_mid < 1:
-            raise ValueError(f"c_mid must be >= 1, got {self.c_mid}")
+            raise ContractError(f"c_mid must be >= 1, got {self.c_mid}")
         if self.normalizer not in NORMALIZERS:
-            raise ValueError(f"normalizer must be one of {NORMALIZERS}, got {self.normalizer!r}")
+            raise ContractError(f"normalizer must be one of {NORMALIZERS}, got {self.normalizer!r}")
         if self.compressor_norm is None:
             object.__setattr__(self, "compressor_norm",
                                _COMPRESSOR_NORM_DEFAULT[self.direction])

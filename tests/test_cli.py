@@ -307,6 +307,9 @@ class TestTrainCommand:
         ["sweep", "--kernel-grid", "3"],
         ["sweep", "--c-mid-grid", "0"],
         ["sweep", "--normalizer-grid", "bogus"],
+        # carafe options are checked whatever kind fills the slot
+        ["train", "--operator", "nearest_up", "--k-encoder", "2", "--size", "8",
+         "--epochs", "1"],
     ])
     def test_bad_task_or_net_is_usage_error(self, tmp_path, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -333,6 +336,43 @@ class TestTrainCommand:
         assert len(cells) == 2
         assert all(c["status"] == "error" and "must be >= 1" in c["error"]
                    for c in cells)
+
+
+# Each command's keys that must be > 0, and settings small enough that a
+# command which wrongly accepted the zero would still finish quickly.
+_POSITIVE_CASES = [("gradcheck", "eps"), ("bench", "sigma"), ("bench", "reps"),
+                   ("bench", "warmup")] + [
+    (command, key) for command in ("train", "sweep")
+    for key in ("sigma", "epochs", "train_count", "eval_count")]
+_SMALL = {
+    "gradcheck": {"ops": "relu"},
+    "bench": {"ops": "nearest_up", "shape": "1,1,4,4", "reps": 1},
+    "train": {"size": 8, "channels": 4, "epochs": 2, "operator": "nearest_up"},
+    "sweep": {"size": 8, "channels": 4, "epochs": 2, "c_mid_grid": "2",
+              "kernel_grid": "1:3"},
+}
+
+
+class TestPositiveSettings:
+    def test_cases_cover_every_positive_key(self):
+        assert {key for _, key in _POSITIVE_CASES} == cli._POSITIVE
+
+    @pytest.mark.parametrize("by", ["flag", "file"])
+    @pytest.mark.parametrize("command, key", _POSITIVE_CASES)
+    def test_zero_is_usage_error_before_any_report(self, tmp_path, capsys,
+                                                   command, key, by):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**_SMALL[command],
+                                   **({key: 0} if by == "file" else {})}))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if by == "flag":
+            argv += ["--" + key.replace("_", "-"), "0"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestConfigFile:

@@ -10,7 +10,7 @@ from carafe.demo import (ARCHITECTURES, TASK_KINDS, SlotSpec, ToyTask,
                          bce_logits_loss, build_net, compare_operators,
                          dataset_batch, evaluate, iou, make_dataset, mse_loss,
                          psnr, train)
-from carafe.errors import TrainingDiverged
+from carafe.errors import ContractError, TrainingDiverged
 from carafe.tensor import Tensor
 
 
@@ -251,6 +251,23 @@ class TestTraining:
             with pytest.raises(TrainingDiverged, match="at step"):
                 train(net, task, epochs=300, lr=1000.0, seed=0, train_count=4,
                       eval_count=2)
+
+    @pytest.mark.parametrize("bad", [{"epochs": 0}, {"train_count": 0},
+                                     {"eval_count": 0}])
+    def test_bad_count_raises_before_any_step(self, bad):
+        # train reads eval_count only after its last step, but checks it
+        # before the first
+        task = ToyTask("super_res", size=8, sigma=2, seed=0)
+        rs, rl = _rngs(5)
+        net = build_net("upsampler", SlotSpec("nearest_up"), channels=4,
+                        sigma=2, rng_shared=rs, rng_slot=rl, dtype=np.float64)
+        calls = []
+        forward = net.forward
+        net.forward = lambda x: calls.append(x) or forward(x)
+        counts = {"epochs": 5, "train_count": 4, "eval_count": 2, **bad}
+        with pytest.raises(ContractError, match=f"{next(iter(bad))} must be"):
+            train(net, task, lr=0.01, seed=0, **counts)
+        assert len(calls) == 0
 
     def test_report_payload_excludes_wall_time(self):
         task = ToyTask("seg2", size=8, sigma=2, seed=0)

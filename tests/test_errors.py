@@ -1,0 +1,51 @@
+"""Every deliberate rejection raises one of the package's own error types.
+
+errors.py promises that everything raised on purpose derives from
+CarafeError; the argument rejections among them are also ValueErrors, so
+callers that catch ValueError keep working.
+"""
+
+import numpy as np
+import pytest
+
+from carafe.baselines import make_resample_op
+from carafe.demo import (SlotSpec, ToyTask, build_net, compare_operators,
+                         make_dataset, seeded_net, train)
+from carafe.errors import CarafeError
+from carafe.gradcheck import finite_diff_array
+from carafe.reassembly import CarafeConfig
+
+
+_TASK = ToyTask("super_res", size=8)
+
+REJECTIONS = {
+    "config_direction": lambda: CarafeConfig("sideways", 2),
+    "config_c_mid": lambda: CarafeConfig("up", 2, c_mid=0),
+    "config_normalizer": lambda: CarafeConfig("up", 2, normalizer="bogus"),
+    "slot_option_value": lambda: SlotSpec("nearest_up", k_encoder=2),
+    "resample_kind": lambda: make_resample_op("bogus", 2),
+    "resample_no_direction": lambda: make_resample_op(
+        "spatial_attention", 2, channels=4),
+    "resample_wrong_direction": lambda: make_resample_op(
+        "nearest_up", 2, direction="down"),
+    "resample_no_channels": lambda: make_resample_op("strided_conv", 2),
+    "task_kind": lambda: ToyTask("colorize"),
+    "dataset_count": lambda: make_dataset(_TASK, 0),
+    "net_arch": lambda: build_net("autoencoder", SlotSpec("nearest_up"), 4, 2,
+                                  np.random.default_rng(0),
+                                  np.random.default_rng(1)),
+    "train_epochs": lambda: train(
+        seeded_net("upsampler", SlotSpec("nearest_up"), 4, 2, 0), _TASK,
+        epochs=0, lr=0.1),
+    "compare_empty_roster": lambda: compare_operators(
+        _TASK, [], seeds=(0,), arch="upsampler"),
+    "finite_diff_eps": lambda: finite_diff_array(lambda: 0.0, np.zeros(2),
+                                                 eps=0.0),
+}
+
+
+@pytest.mark.parametrize("site", list(REJECTIONS))
+def test_rejection_is_a_carafe_value_error(site):
+    with pytest.raises(CarafeError) as exc:
+        REJECTIONS[site]()
+    assert isinstance(exc.value, ValueError)
