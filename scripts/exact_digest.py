@@ -90,6 +90,7 @@ def _case(rng, dtype):
             yield from (grad for _, _, grad, _ in op.params.named_slots())
 
 
+@nn.exact_tier()
 def digest(cases: int, seed: int) -> str:
     """Hex SHA-256 over dtype, shape and bytes of every array of every case."""
     sha = hashlib.sha256()

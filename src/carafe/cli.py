@@ -5,6 +5,8 @@ flags. Every run writes a reproducibility stanza (schema, tool, version,
 command, seed, full merged config) into its JSON report, and JSON reports
 never contain wall-clock values — timings live only in bench CSV columns, so
 re-running any (config, seed) pair reproduces the JSON byte for byte.
+Every command runs on the exact tier (see carafe.nn), so no report depends
+on BLAS's summation order or thread count.
 
 Every setting is checked before a run starts, and a bad one is a usage
 error: its type, choices and sign in _load_config, comma lists in
@@ -32,6 +34,7 @@ from .demo import (ARCHITECTURES, SLOT_KINDS, TASK_KINDS, SlotSpec, ToyTask,
                    make_slot_layer, seeded_net, train)
 from .errors import CarafeError, TrainingDiverged
 from .gradcheck import check_op, registered_ops
+from .nn import exact_tier
 from .reassembly import NORMALIZERS
 from .tensor import Tensor
 
@@ -119,7 +122,7 @@ _FLAGS = {
 _COMMON_KEYS = ("seed", "threads", "out")
 # Config keys whose value must be > 0.
 _POSITIVE = {"eps", "sigma", "reps", "warmup", "epochs", "train_count",
-             "eval_count"}
+             "eval_count", "threads"}
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +156,7 @@ def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 
 def _load_config(parser, args, defaults: dict) -> tuple[dict, dict]:
     """(merged, conf). merged is _merge_config's, as the report records it,
-    with threads resolved ($CARAFE_THREADS, else 1, when unset; at least 1).
+    with threads resolved ($CARAFE_THREADS, else 1, when unset) to its int.
     conf holds each value converted by its _FLAGS type (str if none),
     checked against its _FLAGS choices and, for a _POSITIVE key, to be > 0.
     None passes where the default is None, and compressor_norm also takes a
@@ -177,7 +180,7 @@ def _load_config(parser, args, defaults: dict) -> tuple[dict, dict]:
             parser.error(f"{key} must be one of {spec['choices']}, got {value!r}")
         if key in _POSITIVE and conf[key] <= 0:
             parser.error(f"{key} must be > 0, got {value!r}")
-    merged["threads"] = conf["threads"] = max(1, conf["threads"])
+    merged["threads"] = conf["threads"]
     return merged, conf
 
 
@@ -344,6 +347,9 @@ def _arch_for(parser, conf: dict) -> str:
     return arch
 
 
+# A sweep worker thread starts on the fast tier, so _run pins the exact tier
+# again, as main does for the thread that parses the command.
+@exact_tier()
 def _run(conf: dict, slot: SlotSpec, task: ToyTask, train_kwargs: dict):
     """(status, error, report) of train() on the net seeded_net builds: ok,
     diverged, or error for any other CarafeError (a net that cannot be
@@ -511,7 +517,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@exact_tier()
 def main(argv=None) -> int:
+    """Run one subcommand; every report it writes comes from the exact tier."""
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(parser, args)

@@ -1,10 +1,21 @@
 """Neural primitives: convolution, transposed convolution, depth-to-space,
 grouped softmax, ReLU, per-channel affine normalization, SGD.
 
-Every op here is written against a fixed per-element accumulation order so
-that the vectorized implementations agree bitwise with the direct loop nests
-in reference.py. The orders are part of each op's contract, and each is
-stated once, at the loop that carries it:
+Convolution has two numeric tiers, chosen per context by exact_tier():
+
+- The exact tier commits each element to a fixed accumulation order, so it
+  agrees bitwise with the direct loop nests in reference.py. It runs inside
+  ``with exact_tier():``, which every entry point that writes an artifact or
+  judges a contract enters: the CLI (and each sweep worker thread),
+  gradcheck.check_op, demo.compare_operators and scripts/exact_digest.py.
+- The fast tier is the default. It keeps the ascending tap loop but folds
+  the channels of each tap into one BLAS matrix product (shift-and-GEMM), so
+  its sums run in BLAS order: it is deterministic run to run in one process,
+  and agrees with the exact tier within the tolerances pinned in
+  tests/test_fast_tier.py, not bitwise.
+
+The exact orders are part of the exact tier's contract, and each is stated
+once, at the loop that carries it:
 
 - _gather_taps: the tap fold of conv2d_forward (from the bias) and of the
   transposed conv's input gradient (from zero).
@@ -12,7 +23,8 @@ stated once, at the loop that carries it:
   transposed_conv_forward (whose bias is added once after the fold).
 - conv2d_backward: grad_weights and grad_bias as one fold over im2col rows
   (the bias is a column of ones): per element, output cols, then rows.
-- _fold: every plain sum, each along one axis in ascending order.
+- _fold: every plain sum, each along one axis in ascending order. It has no
+  fast tier yet, so every op but the convolutions is exact on both tiers.
 
 Reductions that have no bitwise twin (parameter grads of the transposed
 conv, backward of affine_norm, losses) may use numpy reductions freely; they
@@ -21,6 +33,8 @@ are still deterministic run to run.
 
 from __future__ import annotations
 
+import contextvars
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,16 +230,64 @@ def _taps(k: int, stride: int, h: int, w: int):
                    slice(kj, kj + stride * (w - 1) + 1, stride))
 
 
+# True inside exact_tier(). A new thread starts with a fresh context, so on
+# the fast tier, whatever the thread that started it had set.
+_EXACT = contextvars.ContextVar("carafe_exact_tier", default=False)
+
+
+@contextmanager
+def exact_tier():
+    """Run every convolution in this context on the exact tier."""
+    token = _EXACT.set(True)
+    try:
+        yield
+    finally:
+        _EXACT.reset(token)
+
+
+def _gemm_tier(terms: int) -> bool:
+    """Whether a conv seam takes the fast tier's GEMMs. Not on the exact tier,
+    and not for a one-term contraction: there each product is a single
+    multiply, so the exact fold gives the same bits with fewer numpy calls."""
+    return terms > 1 and not _EXACT.get()
+
+
+def _tap_matrices(weights: np.ndarray) -> np.ndarray:
+    """weights (a, b, k, k) -> (k, k, a, b), contiguous: one BLAS operand per
+    tap."""
+    return np.ascontiguousarray(weights.transpose(2, 3, 0, 1))
+
+
+def _channel_major(a: np.ndarray) -> np.ndarray:
+    """(n, c, h, w) -> the (c, n*h*w) matrix of its channel rows."""
+    return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
+
+
+def _tap_windows(src: np.ndarray, k: int, stride: int, h: int, w: int):
+    """(ki, kj, window) of each tap, row-major: the fast tier's GEMM operand,
+    _channel_major of the strided h x w window of src that the tap meets."""
+    for ki, kj, rows, cols in _taps(k, stride, h, w):
+        yield ki, kj, _channel_major(src[:, :, rows, cols])
+
+
 def _gather_taps(acc: np.ndarray, src: np.ndarray, weights: np.ndarray,
                  stride: int) -> np.ndarray:
     """acc[:, o, i, j] += weights[o, c, ki, kj] * src[:, c, ki + s*i, kj + s*j].
 
-    The one gather fold of the exact tier: per element of acc, taps fold in
-    (c, ki, kj) order on top of whatever acc holds. src is already padded.
+    The one gather fold. src is already padded. Exact tier: per element of
+    acc, taps fold in (c, ki, kj) order on top of whatever acc holds. Fast
+    tier: per tap, acc += W[:, :, ki, kj] @ window.
     """
-    _, _, h, w = acc.shape
+    n, c_out, h, w = acc.shape
+    k = weights.shape[2]
+    if _gemm_tier(weights.shape[1]):
+        acc_cm = acc.transpose(1, 0, 2, 3)
+        tap_w = _tap_matrices(weights)
+        for ki, kj, win in _tap_windows(src, k, stride, h, w):
+            acc_cm += (tap_w[ki, kj] @ win).reshape(c_out, n, h, w)
+        return acc
     for c in range(weights.shape[1]):
-        for ki, kj, rows, cols in _taps(weights.shape[2], stride, h, w):
+        for ki, kj, rows, cols in _taps(k, stride, h, w):
             w_c = weights[:, c, ki, kj].reshape(1, -1, 1, 1)
             acc += w_c * src[:, c, rows, cols][:, None]
     return acc
@@ -235,16 +297,33 @@ def _scatter_taps(acc: np.ndarray, src: np.ndarray, weights: np.ndarray,
                   stride: int) -> np.ndarray:
     """acc[:, o, ki + s*i, kj + s*j] += weights[c, o, ki, kj] * src[:, c, i, j].
 
-    The adjoint of _gather_taps and the one scatter fold of the exact tier:
-    per element of acc, taps fold in (c, ki, kj) order. acc is the padded
-    (or uncropped) map.
+    The adjoint of _gather_taps and the one scatter fold. acc is the padded
+    (or uncropped) map. Exact tier: per element of acc, taps fold in
+    (c, ki, kj) order. Fast tier: per tap, acc[view] += W[:, :, ki, kj].T @ src.
     """
-    _, _, h, w = src.shape
+    n, _, h, w = src.shape
+    c_o, k = weights.shape[1], weights.shape[2]
+    if _gemm_tier(weights.shape[0]):
+        acc_cm = acc.transpose(1, 0, 2, 3)
+        tap_w = _tap_matrices(weights)
+        src_cm = _channel_major(src)
+        for ki, kj, rows, cols in _taps(k, stride, h, w):
+            acc_cm[:, :, rows, cols] += (tap_w[ki, kj].T @ src_cm).reshape(c_o, n, h, w)
+        return acc
     for c in range(weights.shape[0]):
-        for ki, kj, rows, cols in _taps(weights.shape[2], stride, h, w):
+        for ki, kj, rows, cols in _taps(k, stride, h, w):
             w_c = weights[c, :, ki, kj].reshape(1, -1, 1, 1)
             acc[:, :, rows, cols] += w_c * src[:, c][:, None]
     return acc
+
+
+def _fold_weight_taps(grad_w: np.ndarray, lhs: np.ndarray, src: np.ndarray,
+                      stride: int, h: int, w: int) -> None:
+    """The fast tier of a conv weight gradient: per tap,
+    grad_w[:, :, ki, kj] += lhs @ window.T, where lhs is the
+    (grad_w.shape[0], n*h*w) matrix that meets each window of src."""
+    for ki, kj, win in _tap_windows(src, grad_w.shape[2], stride, h, w):
+        grad_w[:, :, ki, kj] += lhs @ win.T
 
 
 def conv2d_forward(x: Tensor, p: ConvLayerParams, stride: int = 1, pad: int = 0) -> Tensor:
@@ -267,9 +346,11 @@ def conv2d_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
     """Exact adjoint of conv2d_forward.
 
     Returns grad wrt x (the scatter fold into the padded input) and
-    accumulates grad_weights/grad_bias in place. Per parameter, their
-    reduction tree is column sums over output cols first, then rows, then
-    batch; every tap and the bias ride in one im2col row per output row.
+    accumulates grad_weights/grad_bias in place. On the exact tier, per
+    parameter, their reduction tree is column sums over output cols first,
+    then rows, then batch; every tap and the bias ride in one im2col row per
+    output row. On the fast tier each tap's weights take one GEMM and the
+    bias a numpy sum.
     """
     _check_conv_args(x, p)
     n, c_in, h, w = x.shape
@@ -288,6 +369,11 @@ def conv2d_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
         grad_x = gxp[:, :, pad:pad + h, pad:pad + w].copy()
     else:
         grad_x = gxp
+    if _gemm_tier(n * h_out * w_out):
+        _fold_weight_taps(p.grad_weights, _channel_major(go), xp, stride,
+                          h_out, w_out)
+        p.grad_bias += go.sum(axis=(0, 2, 3))
+        return Tensor(grad_x)
     # im2col row oi: (b, oj, ci*k*k + ki*k + kj) <- x window; last column 1,
     # so grad_bias is the last column of the same fold (go * 1 == go).
     taps = c_in * k * k
@@ -375,9 +461,14 @@ def transposed_conv_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
             f"({n},{c_dst},{h_out},{w_out})")
     go_full = np.pad(grad_out.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     gx = _gather_taps(np.zeros_like(x.data), go_full, p.weights, stride)
-    for ki, kj, rows, cols in _taps(k, stride, h, w):
-        p.grad_weights[:, :, ki, kj] += np.einsum(
-            "bsij,bdij->sd", x.data, go_full[:, :, rows, cols], optimize=False)
+    if _gemm_tier(n * h * w):
+        _fold_weight_taps(p.grad_weights, _channel_major(x.data), go_full,
+                          stride, h, w)
+    else:
+        for ki, kj, rows, cols in _taps(k, stride, h, w):
+            p.grad_weights[:, :, ki, kj] += np.einsum(
+                "bsij,bdij->sd", x.data, go_full[:, :, rows, cols],
+                optimize=False)
     p.grad_bias += grad_out.data.sum(axis=(0, 2, 3))
     return Tensor(gx)
 

@@ -1,8 +1,8 @@
 """Direct loop-nest implementations of every dual-path operation.
 
-These are the slow, obviously-correct twins of the vectorized code in nn.py
+These are the slow, obviously-correct twins of the exact tier in nn.py
 and reassembly.py. Each twin spells out, one scalar at a time, the exact
-per-element accumulation order the fast path commits to, so the equivalence
+per-element accumulation order that tier commits to, so the equivalence
 tests can demand bitwise agreement in double precision (and get it in single
 precision too, since the orders match there as well).
 
@@ -52,7 +52,7 @@ def conv2d_backward_direct(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
 
     grad_x folds taps per input element in (out-channel, ki, kj) order.
     grad_weights/grad_bias use the column/row/batch reduction tree of the
-    fast path: innermost fold over output cols, then rows, then batch.
+    exact tier: innermost fold over output cols, then rows, then batch.
     """
     n, c_in, h, w = x.shape
     c_out, _, k, _ = p.weights.shape
@@ -198,7 +198,7 @@ def softmax_group_direct(x: Tensor, group: int) -> Tensor:
 
 
 def affine_norm_direct(x: Tensor, p: AffineNormParams, eps: float = 1e-5) -> Tensor:
-    """Channel standardization with the fast path's (batch,row)-then-col tree."""
+    """Channel standardization with the exact tier's (batch,row)-then-col tree."""
     n, c, h, w = x.shape
     xd = x.data
     zero = x.dtype.type(0)
@@ -246,7 +246,7 @@ def reassemble_direct(x: Tensor, kf: KernelField, cfg: CarafeConfig) -> Tensor:
     """Per-location weighted window sum, offsets folded row-major.
 
     Out-of-bounds taps contribute an explicit weight * 0.0 term (not a skip)
-    to mirror the fast path's padded reads, signed zeros included.
+    to mirror the exact tier's padded reads, signed zeros included.
     """
     n, c, h, w = x.shape
     h_out, w_out = cfg.output_hw(h, w)

@@ -14,8 +14,9 @@ from carafe.fileio import load_pgm, load_tensor, save_pgm, save_tensor
 from carafe.gradcheck import check_op, registered_ops
 from carafe.nn import (affine_norm, affine_params, conv_output_hw,
                        conv_params, conv2d_backward, conv2d_forward,
-                       pixel_shuffle, pixel_unshuffle, relu, softmax_group,
-                       transposed_conv_forward, transposed_conv_params)
+                       exact_tier, pixel_shuffle, pixel_unshuffle, relu,
+                       softmax_group, transposed_conv_forward,
+                       transposed_conv_params)
 from carafe.reassembly import (CarafeConfig, KernelField, carafe_forward,
                                carafe_params, map_target_to_source,
                                predict_kernels, reassemble,
@@ -183,6 +184,8 @@ def test_criterion_5_gradient_exactness():
              f"{len(registered_ops())} registered ops (tol {GRADIENT_TOL})")
 
 
+# The loop twins pin the exact tier's orders; the fast tier has its own gate.
+@exact_tier()
 def test_criterion_6_implementation_equivalence():
     rng = np.random.default_rng(106)
     mismatches = []

@@ -3,7 +3,9 @@
 Every operation with two implementations is exercised on 50 random cases;
 the assertion is exact equality in double precision (``np.array_equal``),
 not a tolerance, because both paths commit to the same per-element
-reduction order.
+reduction order. That order is the exact tier's, so every test here runs
+inside nn.exact_tier(); the fast tier's tolerances are gated in
+test_fast_tier.py.
 """
 
 import numpy as np
@@ -12,16 +14,22 @@ import pytest
 from carafe import reference as ref
 from carafe.nn import (ConvLayerParams, affine_norm, affine_params,
                        conv_output_hw, conv_params, conv2d_backward,
-                       conv2d_forward, pixel_shuffle, pixel_unshuffle, relu,
-                       softmax_group, transposed_conv_backward,
-                       transposed_conv_forward, transposed_conv_output_hw,
-                       transposed_conv_params)
+                       conv2d_forward, exact_tier, pixel_shuffle,
+                       pixel_unshuffle, relu, softmax_group,
+                       transposed_conv_backward, transposed_conv_forward,
+                       transposed_conv_output_hw, transposed_conv_params)
 from carafe.reassembly import (CarafeConfig, KernelField, carafe_forward,
                                carafe_params, predict_kernels, reassemble,
                                reassemble_backward)
 from carafe.tensor import Tensor
 
 N_CASES = 50
+
+
+@pytest.fixture(autouse=True)
+def _on_exact_tier():
+    with exact_tier():
+        yield
 
 
 def _rand(rng, shape, dtype=np.float64):
