@@ -23,8 +23,8 @@ from .gradcheck import (GradReport, check_op, finite_diff, registered_ops,
                         relative_error)
 from .nn import (AffineNormParams, ConvLayerParams, affine_norm,
                  affine_norm_backward, affine_params, conv2d_backward,
-                 conv2d_forward, conv_output_hw, conv_params, exact_tier,
-                 pixel_shuffle, pixel_unshuffle, relu, relu_backward, sgd_step,
+                 conv2d_forward, conv_output_hw, conv_params, pixel_shuffle,
+                 pixel_unshuffle, relu, relu_backward, sgd_step,
                  softmax_group, softmax_group_backward,
                  transposed_conv_backward, transposed_conv_forward,
                  transposed_conv_params, zero_grads)
@@ -42,7 +42,7 @@ __all__ = [
     "TrainingDiverged",
     "ConvLayerParams", "AffineNormParams", "conv_params",
     "transposed_conv_params", "affine_params", "conv_output_hw",
-    "conv2d_forward", "conv2d_backward", "exact_tier",
+    "conv2d_forward", "conv2d_backward",
     "transposed_conv_forward", "transposed_conv_backward", "pixel_shuffle",
     "pixel_unshuffle", "relu", "relu_backward", "softmax_group",
     "softmax_group_backward", "affine_norm", "affine_norm_backward",

@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 check/experiment failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import csv
 import json
 import os
@@ -347,9 +348,6 @@ def _arch_for(parser, conf: dict) -> str:
     return arch
 
 
-# A sweep worker thread starts on the fast tier, so _run pins the exact tier
-# again, as main does for the thread that parses the command.
-@exact_tier()
 def _run(conf: dict, slot: SlotSpec, task: ToyTask, train_kwargs: dict):
     """(status, error, report) of train() on the net seeded_net builds: ok,
     diverged, or error for any other CarafeError (a net that cannot be
@@ -443,8 +441,12 @@ def _cmd_sweep(parser, args) -> int:
                        losses=list(report.losses))
         return row
 
+    # Each cell runs in its own copy of this thread's context, so a worker
+    # thread keeps main's exact tier instead of starting on the default.
     with ThreadPoolExecutor(max_workers=conf["threads"]) as pool:
-        rows = list(pool.map(run_cell, cells))
+        futures = [pool.submit(contextvars.copy_context().run, run_cell, cell)
+                   for cell in cells]
+        rows = [future.result() for future in futures]
 
     out = _out_dir(conf)
     cell_dir = out / "cells"

@@ -1,18 +1,23 @@
 """Neural primitives: convolution, transposed convolution, depth-to-space,
 grouped softmax, ReLU, per-channel affine normalization, SGD.
 
-Convolution has two numeric tiers, chosen per context by exact_tier():
+Convolution has two numeric tiers, chosen per context by exact_tier(); this
+module is the only one that reads the choice:
 
 - The exact tier commits each element to a fixed accumulation order, so it
   agrees bitwise with the direct loop nests in reference.py. It runs inside
   ``with exact_tier():``, which every entry point that writes an artifact or
-  judges a contract enters: the CLI (and each sweep worker thread),
-  gradcheck.check_op, demo.compare_operators and scripts/exact_digest.py.
-- The fast tier is the default. It keeps the ascending tap loop but folds
-  the channels of each tap into one BLAS matrix product (shift-and-GEMM), so
-  its sums run in BLAS order: it is deterministic run to run in one process,
-  and agrees with the exact tier within the tolerances pinned in
-  tests/test_fast_tier.py, not bitwise.
+  judges a contract enters: cli.main (its sweep runs each cell in a copy of
+  main's context), gradcheck.check_op, demo.compare_operators and
+  scripts/exact_digest.py. tests/test_fast_tier.py fails if one of them, or
+  a new CLI command, reaches a conv on the fast tier.
+- The fast tier is the default, for callers that train or run the layers
+  themselves, as scripts/seed_sensitivity.py does when it trains the
+  criterion 7/8 nets on both tiers with exact_tier(exact). It keeps the
+  ascending tap loop but folds the channels of each tap into one BLAS
+  matrix product (shift-and-GEMM), so its sums run in BLAS order: it is
+  deterministic run to run in one process, and agrees with the exact tier
+  within the tolerances pinned in tests/test_fast_tier.py, not bitwise.
 
 The exact orders are part of the exact tier's contract, and each is stated
 once, at the loop that carries it:
@@ -231,14 +236,17 @@ def _taps(k: int, stride: int, h: int, w: int):
 
 
 # True inside exact_tier(). A new thread starts with a fresh context, so on
-# the fast tier, whatever the thread that started it had set.
+# the fast tier, whatever the thread that started it had set; a thread pool
+# that must keep its submitter's tier runs each task in a copy of the
+# submitter's context (contextvars.copy_context().run), as cli's sweep does.
 _EXACT = contextvars.ContextVar("carafe_exact_tier", default=False)
 
 
 @contextmanager
-def exact_tier():
-    """Run every convolution in this context on the exact tier."""
-    token = _EXACT.set(True)
+def exact_tier(exact: bool = True):
+    """Run every convolution in this context on the exact tier, or, with
+    exact=False, on the fast tier."""
+    token = _EXACT.set(exact)
     try:
         yield
     finally:

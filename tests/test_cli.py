@@ -9,12 +9,11 @@ import argparse
 import csv
 import json
 import math
-import threading
 from pathlib import Path
 
 import pytest
 
-from carafe import cli, nn
+from carafe import cli
 from carafe.baselines import DOWN_KINDS, UP_KINDS
 from carafe.cli import build_parser, main
 
@@ -483,42 +482,6 @@ class TestDeterminism:
             a, b = ((out / name).read_bytes().replace(str(out).encode(), b"OUT")
                     for out in outs)
             assert a == b, name
-
-
-class TestExactTier:
-    """Every command writes its reports from the exact tier: each conv seam a
-    command reaches, in whatever thread, must find the tier switch on."""
-
-    @pytest.fixture
-    def seams(self, monkeypatch):
-        # Every conv seam asks nn._gemm_tier which tier to take.
-        seen = []
-        gemm_tier = nn._gemm_tier
-
-        def record(terms):
-            seen.append((threading.current_thread().name, nn._EXACT.get()))
-            return gemm_tier(terms)
-
-        monkeypatch.setattr(nn, "_gemm_tier", record)
-        return seen
-
-    @pytest.mark.parametrize("argv", [
-        ["gradcheck", "--ops", "conv2d,transposed_conv,carafe_up"],
-        ["bench", "--ops", "carafe_up,transposed_conv,strided_conv",
-         "--shape", "1,4,6,6", "--reps", "1"],
-        ["train", "--size", "8", "--epochs", "2", "--channels", "4",
-         "--c-mid", "4"],
-        ["sweep", "--task", "seg2", "--size", "8", "--epochs", "2",
-         "--channels", "4", "--c-mid-grid", "2,4", "--kernel-grid", "1:3,3:5",
-         "--threads", "2"],
-    ], ids=["gradcheck", "bench", "train", "sweep"])
-    def test_every_conv_runs_on_the_exact_tier(self, tmp_path, seams, argv):
-        main(argv + ["--out", str(tmp_path)])
-        assert seams
-        assert all(exact for _, exact in seams)
-        if "--threads" in argv:
-            assert any(thread != threading.current_thread().name
-                       for thread, _ in seams)
 
 
 class TestSweepCommand:

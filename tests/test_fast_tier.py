@@ -7,17 +7,28 @@ the criterion-6 generator and every conv shape of the train_toy and
 carafe_paper benchmark workloads, the worst ratio was 3.0e-15 in fp64 and
 3.0e-6 in fp32 (both on a bias or weight gradient); the bounds below leave
 about 3x of headroom.
+
+The last section gates where each tier runs: every CLI command (sweep
+worker threads included), check_op, compare_operators and exact_digest reach
+each conv on the exact tier, and scripts/seed_sensitivity.py on the tier it
+names.
 """
 
+import argparse
+import importlib.util
 import json
 import threading
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from carafe import gradcheck, nn
-from carafe.demo import SlotSpec, ToyTask, seeded_net, train
+from carafe import cli, gradcheck, nn
+from carafe.demo import SlotSpec, ToyTask, compare_operators, seeded_net, train
 from carafe.tensor import Tensor
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 FAST_TOL = {np.float64: 1e-14, np.float32: 1e-5}
 
@@ -117,15 +128,28 @@ def test_training_report_repeats_bit_for_bit_on_the_fast_tier():
     assert report() == report()
 
 
-def _reaches_a_conv(name):
-    """Whether the registry problem runs a conv seam (see nn._gemm_tier)."""
+@contextmanager
+def _recorded_tiers():
+    """Patch nn._gemm_tier, which every conv seam asks for its tier, to
+    record (thread name, exact tier on) per seam reached."""
     seen = []
     gemm_tier = nn._gemm_tier
-    nn._gemm_tier = lambda terms: seen.append(terms) or gemm_tier(terms)
+
+    def record(terms):
+        seen.append((threading.current_thread().name, nn._EXACT.get()))
+        return gemm_tier(terms)
+
+    nn._gemm_tier = record
     try:
-        gradcheck.REGISTRY[name](0).analytic()
+        yield seen
     finally:
         nn._gemm_tier = gemm_tier
+
+
+def _reaches_a_conv(name):
+    """Whether the registry problem runs a conv seam."""
+    with _recorded_tiers() as seen:
+        gradcheck.REGISTRY[name](0).analytic()
     return bool(seen)
 
 
@@ -144,13 +168,85 @@ def test_gradients_hold_on_the_fast_tier(name):
     assert report.passed, report.to_payload()
 
 
+# ---------------------------------------------------------------------------
+# where each tier runs: every entry point that writes an artifact or judges a
+# contract reaches each conv on the exact tier, in whatever thread
+
+
+def _load_script(name, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# One small run of every CLI command; test_cli_commands_are_all_here fails
+# when a command is added without one.
+CLI_RUNS = {
+    "gradcheck": ["gradcheck", "--ops", "conv2d,transposed_conv,carafe_up"],
+    "bench": ["bench", "--ops", "carafe_up,transposed_conv,strided_conv",
+              "--shape", "1,4,6,6", "--reps", "1"],
+    "train": ["train", "--size", "8", "--epochs", "2", "--channels", "4",
+              "--c-mid", "4"],
+    "sweep": ["sweep", "--task", "seg2", "--size", "8", "--epochs", "2",
+              "--channels", "4", "--c-mid-grid", "2,4",
+              "--kernel-grid", "1:3,3:5", "--threads", "2"],
+}
+
+
+def test_cli_commands_are_all_here():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    assert list(action.choices) == list(CLI_RUNS)
+
+
+@pytest.mark.parametrize("command", list(CLI_RUNS))
+def test_every_cli_command_runs_on_the_exact_tier(tmp_path, command):
+    with _recorded_tiers() as seen:
+        cli.main(CLI_RUNS[command] + ["--out", str(tmp_path)])
+    assert seen and all(exact for _, exact in seen)
+    if command == "sweep":
+        # the cells ran in the pool's worker threads, not in this one
+        assert {thread for thread, _ in seen} - {threading.current_thread().name}
+
+
+@pytest.mark.parametrize("entry", ["check_op", "compare_operators",
+                                   "exact_digest"])
+def test_library_entry_points_run_on_the_exact_tier(monkeypatch, entry):
+    runs = {
+        "check_op": lambda: gradcheck.check_op("carafe_down"),
+        "compare_operators": lambda: compare_operators(
+            ToyTask("seg2", size=8, sigma=2, seed=0),
+            [SlotSpec("carafe", c_mid=4), SlotSpec("strided_conv")],
+            seeds=(0,), arch="bottleneck", channels=4, epochs=1,
+            train_count=2, eval_count=2),
+        "exact_digest": lambda: _load_script(
+            "exact_digest", monkeypatch).digest(6, 0),
+    }
+    with _recorded_tiers() as seen:
+        runs[entry]()
+    assert seen and all(exact for _, exact in seen)
+
+
+@pytest.mark.parametrize("tier", ["exact", "fast"])
+def test_seed_sensitivity_trains_on_the_tier_it_names(monkeypatch, tier):
+    script = _load_script("seed_sensitivity", monkeypatch)
+    with nn.exact_tier(tier == "fast"), _recorded_tiers() as seen:
+        metric, _ = script._train(script.EXPERIMENTS["down"],
+                                  SlotSpec("strided_conv"), 0, 1, tier)
+    assert seen and all(exact == (tier == "exact") for _, exact in seen)
+    assert 0.0 <= metric <= 1.0
+
+
 def test_default_tier_is_fast_and_exact_tier_restores_it():
     assert not nn._EXACT.get()
     with pytest.raises(RuntimeError):
         with nn.exact_tier():
             assert nn._EXACT.get()
-            with nn.exact_tier():
-                assert nn._EXACT.get()
+            with nn.exact_tier(exact=False):
+                assert not nn._EXACT.get()
             assert nn._EXACT.get()
             raise RuntimeError
     assert not nn._EXACT.get()
