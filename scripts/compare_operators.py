@@ -9,7 +9,8 @@ features back up, a conv classifies each pixel), IoU.
 Every operator fills the same slot in an otherwise identical net: same trunk
 weights (seeded via one spawned stream), same data, same optimizer budget.
 The content-aware reassembler is compared against fixed and learned
-baselines; the table reports the metric per seed plus mean/sd.
+baselines; the table reports the metric per seed plus mean/sd. The table is
+an artifact, so every run behind it is on the exact tier.
 """
 
 import argparse
@@ -18,6 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from carafe import nn
 from carafe.demo import SlotSpec, ToyTask, compare_operators
 
 # The two experiments. digits: decimals of each per-seed value; the mean
@@ -33,6 +35,7 @@ EXPERIMENTS = {
 }
 
 
+@nn.exact_tier()
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("direction", choices=tuple(EXPERIMENTS))

@@ -23,8 +23,8 @@ import numpy as np
 from .baselines import (ALL_KINDS, make_resample_op, resample_backward,
                         resample_forward)
 from .errors import ContractError, GeometryError, ShapeError, TrainingDiverged
-from .nn import (conv2d_backward, conv2d_forward, conv_params, exact_tier,
-                 relu, relu_backward, sgd_step, sigmoid_array)
+from .nn import (conv2d_backward, conv2d_forward, conv_params, relu,
+                 relu_backward, sgd_step, sigmoid_array)
 from .reassembly import (CarafeConfig, carafe_backward, carafe_forward,
                          carafe_params)
 from .tensor import Tensor
@@ -490,14 +490,13 @@ class OperatorSummary:
     delta_vs_carafe: Optional[float]
 
 
-@exact_tier()
 def compare_operators(task: ToyTask, roster: list, seeds, arch: str,
                       channels: int = 8, epochs: int = 40, lr: float = 0.05,
                       momentum: float = 0.9, weight_decay: float = 1e-4,
                       train_count: int = 16, eval_count: int = 8,
                       dtype=np.float64) -> list[OperatorSummary]:
-    """Train every roster slot under identical budgets, on the exact tier,
-    and summarize.
+    """Train every roster slot under identical budgets, on the caller's
+    tier, and summarize.
 
     Per (slot, seed) the net comes from seeded_net, so every operator sees
     bitwise-equal trunk parameters and data. sd is the population standard

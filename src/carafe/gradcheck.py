@@ -304,11 +304,10 @@ def registered_ops() -> list[str]:
     return list(REGISTRY)
 
 
-@nn.exact_tier()
 def check_op(name: str, seed: int = 0, tol: float = DEFAULT_TOL,
              eps: float = DEFAULT_EPS) -> GradReport:
     """Run the registered finite-difference check for one operator, on the
-    exact tier."""
+    caller's tier."""
     if name not in REGISTRY:
         raise KeyError(
             f"unknown op {name!r}; registered: {', '.join(sorted(REGISTRY))}")

@@ -6,11 +6,12 @@ module is the only one that reads the choice:
 
 - The exact tier commits each element to a fixed accumulation order, so it
   agrees bitwise with the direct loop nests in reference.py. It runs inside
-  ``with exact_tier():``, which every entry point that writes an artifact or
-  judges a contract enters: cli.main (its sweep runs each cell in a copy of
-  main's context), gradcheck.check_op, demo.compare_operators and
-  scripts/exact_digest.py. tests/test_fast_tier.py fails if one of them, or
-  a new CLI command, reaches a conv on the fast tier.
+  ``with exact_tier():``, which every entry point that writes an artifact
+  enters: cli.main (its sweep runs each cell in a copy of main's context),
+  scripts/compare_operators.py and scripts/exact_digest.py.
+  tests/test_fast_tier.py fails if one of them, or a new CLI command,
+  reaches a conv on the fast tier. gradcheck.check_op and
+  demo.compare_operators run on their caller's tier.
 - The fast tier is the default, for callers that train or run the layers
   themselves, as scripts/seed_sensitivity.py does when it trains the
   criterion 7/8 nets on both tiers with exact_tier(exact). It keeps the

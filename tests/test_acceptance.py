@@ -5,13 +5,16 @@ pytest summary via the -rA default in pyproject) and asserts the same
 condition, with the tolerance pinned next to the check it gates.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from carafe import reference as ref
 from carafe.cli import main as cli_main
 from carafe.demo import SlotSpec, ToyTask, compare_operators
 from carafe.fileio import load_pgm, load_tensor, save_pgm, save_tensor
-from carafe.gradcheck import check_op, registered_ops
+from carafe.gradcheck import registered_ops
 from carafe.nn import (affine_norm, affine_params, conv_output_hw,
                        conv_params, conv2d_backward, conv2d_forward,
                        exact_tier, pixel_shuffle, pixel_unshuffle, relu,
@@ -30,6 +33,24 @@ REDUCTION_TOL = 1e-12              # criterion 3b
 CONSTANT_TOL = 1e-12               # criterion 4
 GRADIENT_TOL = 1e-5                # criterion 5
 PGM_QUANT_TOL = 1.0 / 510.0        # criterion 10
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _seed_study(direction: str, unit: str, digits: int) -> str:
+    """What the committed 20-seed study of a training trend found: the fast
+    tier's mean carafe-minus-baseline difference and its 95 % interval, from
+    BENCH_seed_sensitivity_<direction>.json (scripts/seed_sensitivity.py)."""
+    study = json.loads(
+        (ROOT / f"BENCH_seed_sensitivity_{direction}.json").read_text())
+    fast = study["summary"]["fast"]
+    lo, hi = fast["ci"]
+    noise = "inside" if lo <= 0.0 <= hi else "beyond"
+    return (f"seeds {study['seeds'][0]}-{study['seeds'][-1]} on the fast "
+            f"tier: mean difference {fast['mean_diff']:+.{digits}f} {unit}, "
+            f"95 % CI [{lo:+.{digits}f}, {hi:+.{digits}f}], so the seeds 0-2 "
+            f"trend passes {noise} seed noise")
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -170,11 +191,11 @@ def test_criterion_4_constant_preservation():
              f"max interior deviation {worst:.2e}")
 
 
-def test_criterion_5_gradient_exactness():
+def test_criterion_5_gradient_exactness(registry_report):
     ok = True
     worst_name, worst_err = "", 0.0
     for name in sorted(registered_ops()):
-        report = check_op(name, seed=0, tol=GRADIENT_TOL)
+        report = registry_report(name, tol=GRADIENT_TOL)
         if report.max_rel_error > worst_err:
             worst_name, worst_err = name, report.max_rel_error
         if not report.passed:
@@ -290,7 +311,8 @@ def test_criterion_7_super_res_trend():
     _verdict(7, "upsampling toy trend", ok,
              f"content-aware mean PSNR {carafe_mean:.4f} vs nearest+conv "
              f"{base_mean:.4f} over seeds (0,1,2); "
-             f"per-seed {carafe_seeds} vs {base_seeds}")
+             f"per-seed {carafe_seeds} vs {base_seeds}; "
+             + _seed_study("up", "dB", 3))
 
 
 def test_criterion_8_seg_trend():
@@ -311,7 +333,8 @@ def test_criterion_8_seg_trend():
     _verdict(8, "downsampling toy trend", ok,
              f"content-aware mean IoU {carafe_mean:.4f} vs strided conv "
              f"{base_mean:.4f} over seeds (0,1,2); "
-             f"per-seed {carafe_seeds} vs {base_seeds}")
+             f"per-seed {carafe_seeds} vs {base_seeds}; "
+             + _seed_study("down", "IoU", 4))
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -8,15 +8,18 @@ carafe_paper benchmark workloads, the worst ratio was 3.0e-15 in fp64 and
 3.0e-6 in fp32 (both on a bias or weight gradient); the bounds below leave
 about 3x of headroom.
 
-The last section gates where each tier runs: every CLI command (sweep
-worker threads included), check_op, compare_operators and exact_digest reach
-each conv on the exact tier, and scripts/seed_sensitivity.py on the tier it
-names.
+The last section gates where each tier runs. Every artifact writer reaches
+each conv on the exact tier: every CLI command (sweep worker threads
+included), scripts/compare_operators.py and scripts/exact_digest.py.
+check_op and compare_operators run on their caller's tier, and
+scripts/seed_sensitivity.py on the tier it names.
 """
 
 import argparse
+import ctypes
 import importlib.util
 import json
+import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
@@ -161,16 +164,19 @@ def test_conv_ops_cover_every_conv_kind():
             "carafe_down", "strided_conv"} <= set(CONV_OPS)
 
 
+# The registry tests in test_gradcheck.py run every op on the default tier,
+# the fast one; this runs the conv-bearing ones on the exact tier, so each
+# tier's conv backward keeps a finite-difference gate.
 @pytest.mark.parametrize("name", CONV_OPS)
 def test_gradients_hold_on_the_fast_tier(name):
-    # check_op pins the exact tier; the registry problem run directly does not.
-    report = gradcheck.check_problem(name, gradcheck.REGISTRY[name](0))
+    with nn.exact_tier():
+        report = gradcheck.check_op(name)
     assert report.passed, report.to_payload()
 
 
 # ---------------------------------------------------------------------------
-# where each tier runs: every entry point that writes an artifact or judges a
-# contract reaches each conv on the exact tier, in whatever thread
+# where each tier runs: every entry point that writes an artifact reaches each
+# conv on the exact tier, in whatever thread; the library follows its caller
 
 
 def _load_script(name, monkeypatch):
@@ -212,9 +218,24 @@ def test_every_cli_command_runs_on_the_exact_tier(tmp_path, command):
         assert {thread for thread, _ in seen} - {threading.current_thread().name}
 
 
-@pytest.mark.parametrize("entry", ["check_op", "compare_operators",
-                                   "exact_digest"])
-def test_library_entry_points_run_on_the_exact_tier(monkeypatch, entry):
+@pytest.mark.parametrize("script", ["compare_operators", "exact_digest"])
+def test_artifact_scripts_run_on_the_exact_tier(monkeypatch, script):
+    runs = {
+        "compare_operators": lambda module: module.main(
+            ["down", "--size", "8", "--channels", "4", "--c-mid", "4",
+             "--epochs", "1", "--seeds", "0", "--train-count", "2",
+             "--eval-count", "2"]),
+        "exact_digest": lambda module: module.digest(6, 0),
+    }
+    module = _load_script(script, monkeypatch)
+    with _recorded_tiers() as seen:
+        runs[script](module)
+    assert seen and all(exact for _, exact in seen)
+
+
+@pytest.mark.parametrize("tier", ["exact", "fast"])
+@pytest.mark.parametrize("entry", ["check_op", "compare_operators"])
+def test_library_entry_points_follow_the_callers_tier(entry, tier):
     runs = {
         "check_op": lambda: gradcheck.check_op("carafe_down"),
         "compare_operators": lambda: compare_operators(
@@ -222,12 +243,10 @@ def test_library_entry_points_run_on_the_exact_tier(monkeypatch, entry):
             [SlotSpec("carafe", c_mid=4), SlotSpec("strided_conv")],
             seeds=(0,), arch="bottleneck", channels=4, epochs=1,
             train_count=2, eval_count=2),
-        "exact_digest": lambda: _load_script(
-            "exact_digest", monkeypatch).digest(6, 0),
     }
-    with _recorded_tiers() as seen:
+    with nn.exact_tier(tier == "exact"), _recorded_tiers() as seen:
         runs[entry]()
-    assert seen and all(exact for _, exact in seen)
+    assert seen and all(exact == (tier == "exact") for _, exact in seen)
 
 
 @pytest.mark.parametrize("tier", ["exact", "fast"])
@@ -260,3 +279,29 @@ def test_a_new_thread_starts_on_the_fast_tier():
         thread.join(timeout=10)
     assert not thread.is_alive()
     assert seen == [False]
+
+
+def _openblas_threads():
+    """The thread count of the scipy-openblas build numpy loaded, read through
+    ctypes from the library this process maps; None where there is none."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    paths = {line.split()[-1] for line in maps.splitlines()
+             if "/libscipy_openblas64_" in line}
+    if not paths:
+        return None
+    get = ctypes.CDLL(min(paths)).scipy_openblas_get_num_threads64_
+    get.argtypes = []
+    get.restype = ctypes.c_int
+    return get()
+
+
+def test_blas_uses_the_thread_count_set_before_numpy_loaded():
+    # conftest.py at the repository root sets OPENBLAS_NUM_THREADS (to 1
+    # unless the environment has a value) before any test imports numpy.
+    threads = _openblas_threads()
+    if threads is None:
+        pytest.skip("numpy does not use a scipy-openblas build here")
+    assert threads <= int(os.environ["OPENBLAS_NUM_THREADS"])

@@ -136,8 +136,8 @@ class TestRegistry:
             assert needed in ops
 
     @pytest.mark.parametrize("name", sorted(registered_ops()))
-    def test_registered_op_passes(self, name):
-        report = check_op(name, seed=0)
+    def test_registered_op_passes(self, name, registry_report):
+        report = registry_report(name)
         assert report.passed, (
             f"{name}: max rel error {report.max_rel_error:.3e} at "
             f"{report.worst_index}")
