@@ -1,8 +1,9 @@
 """Neural primitives: convolution, transposed convolution, depth-to-space,
 grouped softmax, ReLU, per-channel affine normalization, SGD.
 
-Convolution has two numeric tiers, chosen per context by exact_tier(); this
-module is the only one that reads the choice:
+Convolution and reassembly have two numeric tiers, chosen per context by
+exact_tier(). Every seam reads the choice through _gemm_tier, called as
+nn._gemm_tier from reassembly, so one patch of it sees every decision:
 
 - The exact tier commits each element to a fixed accumulation order, so it
   agrees bitwise with the direct loop nests in reference.py. It runs inside
@@ -10,18 +11,19 @@ module is the only one that reads the choice:
   enters: cli.main (its sweep runs each cell in a copy of main's context),
   scripts/compare_operators.py and scripts/exact_digest.py.
   tests/test_fast_tier.py fails if one of them, or a new CLI command,
-  reaches a conv on the fast tier. gradcheck.check_op and
+  reaches a conv or a reassembly on the fast tier. gradcheck.check_op and
   demo.compare_operators run on their caller's tier.
 - The fast tier is the default, for callers that train or run the layers
   themselves, as scripts/seed_sensitivity.py does when it trains the
-  criterion 7/8 nets on both tiers with exact_tier(exact). It keeps the
-  ascending tap loop but folds the channels of each tap into one BLAS
-  matrix product (shift-and-GEMM), so its sums run in BLAS order: it is
-  deterministic run to run in one process, and agrees with the exact tier
-  within the tolerances pinned in tests/test_fast_tier.py, not bitwise.
+  criterion 7/8 nets on both tiers with exact_tier(exact). Convolution keeps
+  the ascending tap loop but folds the channels of each tap into one BLAS
+  matrix product (shift-and-GEMM); reassembly's tier is described in
+  reassembly.py. Its sums run in BLAS order: it is deterministic run to run
+  in one process, and agrees with the exact tier within the tolerances
+  pinned in tests/test_fast_tier.py, not bitwise.
 
 The exact orders are part of the exact tier's contract, and each is stated
-once, at the loop that carries it:
+once, at the loop that carries it (reassembly's at reassembly._phase_step):
 
 - _gather_taps: the tap fold of conv2d_forward (from the bias) and of the
   transposed conv's input gradient (from zero).
@@ -30,7 +32,8 @@ once, at the loop that carries it:
 - conv2d_backward: grad_weights and grad_bias as one fold over im2col rows
   (the bias is a column of ones): per element, output cols, then rows.
 - _fold: every plain sum, each along one axis in ascending order. It has no
-  fast tier yet, so every op but the convolutions is exact on both tiers.
+  fast tier, so every op but the convolutions and reassembly is exact on
+  both tiers.
 
 Reductions that have no bitwise twin (parameter grads of the transposed
 conv, backward of affine_norm, losses) may use numpy reductions freely; they
@@ -245,8 +248,8 @@ _EXACT = contextvars.ContextVar("carafe_exact_tier", default=False)
 
 @contextmanager
 def exact_tier(exact: bool = True):
-    """Run every convolution in this context on the exact tier, or, with
-    exact=False, on the fast tier."""
+    """Run every convolution and reassembly in this context on the exact
+    tier, or, with exact=False, on the fast tier."""
     token = _EXACT.set(exact)
     try:
         yield
@@ -255,9 +258,10 @@ def exact_tier(exact: bool = True):
 
 
 def _gemm_tier(terms: int) -> bool:
-    """Whether a conv seam takes the fast tier's GEMMs. Not on the exact tier,
-    and not for a one-term contraction: there each product is a single
-    multiply, so the exact fold gives the same bits with fewer numpy calls."""
+    """Whether a conv or reassembly seam takes the fast tier's products. Not
+    on the exact tier, and not for a one-term contraction: there each product
+    is a single multiply, so the exact fold gives the same bits with fewer
+    numpy calls."""
     return terms > 1 and not _EXACT.get()
 
 

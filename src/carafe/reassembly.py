@@ -18,9 +18,19 @@ emits sigma*H x sigma*W. Borders are zero-padded.
 Both directions run one pipeline and one tap loop per pass, parameterized
 by _phase_step, the one place the computation reads the direction
 (map_target_to_source spells the mapping out for the loop twins). The
-accumulation orders, fixed so the vectorized code agrees bitwise with the
-direct loop nests in reference.py, are stated there; the sigmoid_norm
-normalizer's sums are nn._fold's.
+accumulation orders of the exact tier, fixed so the vectorized code agrees
+bitwise with the direct loop nests in reference.py, are stated there; the
+sigmoid_norm normalizer's sums are nn._fold's.
+
+Reassembly also has a fast tier, taken where nn._gemm_tier says so, seam
+by seam. The forward and the kernel gradient unfold the source windows
+block by block (_unfold_blocks, about 1 MiB per block) and take one batched
+matrix product per block: per source location, its (c, k^2) windows times
+its (k^2, ph^2) kernels, or its (k^2, c) windows times its (c, ph^2) slice
+of grad_y. The up direction's source gradient contracts each offset's
+sigma^2 phases in one einsum; the down direction's has one phase and keeps
+the exact fold. The fast tier's sums run in BLAS and einsum order, within
+the tolerances pinned in tests/test_fast_tier.py of the exact tier's.
 """
 
 from __future__ import annotations
@@ -30,6 +40,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import nn
 from .errors import (ContractError, DTypeError, GeometryError,
                      KernelSizeError, ShapeError)
 from .nn import (AffineNormParams, ConvLayerParams, _fold, _from_phases,
@@ -304,7 +315,8 @@ def _phase_step(cfg: CarafeConfig) -> tuple[int, int]:
     and its output is pixel-shuffled by ph. Reassembly lays the kernel field,
     output and grad_y out phase-major, (n, c, ph, ph, H_out/ph, W_out/ph) as
     in pixel_unshuffle, so for each window offset one strided view of the
-    padded source feeds every phase. Its folds, each per element from zero:
+    padded source feeds every phase. The exact tier's folds, each per
+    element from zero:
     - reassemble: offsets in ascending q (dn outer, dm inner);
     - reassemble_backward, source gradient: offsets in ascending q and,
       inside one offset, phases (di, dj) row-major;
@@ -322,17 +334,25 @@ def reassemble(x: Tensor, kf: KernelField, cfg: CarafeConfig,
     out[b, c, i', j'] = sum over window offsets (dn, dm) of
     kf[b, q, i', j'] * x[b, c, i + dn, j + dm], with (i, j) the mapped source
     location, q = (dn+r)*k + (dm+r), zero padding off the edges; fold order
-    at _phase_step.
+    at _phase_step. The fast tier takes one batched matrix product per block
+    of unfolded windows instead (_unfold_blocks).
     """
     _check_reassemble_args(x, kf, cfg, allow_unnormalized)
     n, c, _, _ = x.shape
     k = cfg.k_reassembly
     r = k // 2
     ph, step = _phase_step(cfg)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (r, r), (r, r)))
     kd = _to_phases(kf.tensor.data, ph)
+    hb, wb = kd.shape[4:]
+    if nn._gemm_tier(k * k):
+        out = np.empty((n, c, hb, ph, wb, ph), dtype=x.dtype)
+        for bs, rs, win in _unfold_blocks(x.data, k, step, hb, wb):
+            _put_location_major(out[bs, :, rs],
+                                win.transpose(0, 2, 1) @ _location_major(kd[bs, ..., rs, :]))
+        return Tensor(out.reshape(n, c, ph * hb, ph * wb))
+    xp = np.pad(x.data, ((0, 0), (0, 0), (r, r), (r, r)))
     out = np.zeros((n, c) + kd.shape[2:], dtype=x.dtype)
-    for q, (_, _, rows, cols) in enumerate(_taps(k, step, *kd.shape[4:])):
+    for q, (_, _, rows, cols) in enumerate(_taps(k, step, hb, wb)):
         out += kd[:, q][:, None] * xp[:, :, None, None, rows, cols]
     return Tensor(_from_phases(out))
 
@@ -344,7 +364,9 @@ def reassemble_backward(grad_y: Tensor, x: Tensor, kf: KernelField,
 
     Each phase of the source scatter writes one strided block; the kernel
     gradient loops over channels once, each step covering every offset and
-    phase. Fold orders at _phase_step.
+    phase. Fold orders at _phase_step. The fast tier contracts the phases of
+    each offset in one einsum, and takes the kernel gradient as one batched
+    matrix product per block of unfolded windows.
     """
     _check_reassemble_args(x, kf, cfg, allow_unnormalized)
     n, c, h, w = x.shape
@@ -359,21 +381,88 @@ def reassemble_backward(grad_y: Tensor, x: Tensor, kf: KernelField,
     ph, step = _phase_step(cfg)
     go = _to_phases(grad_y.data, ph)
     kd = _to_phases(kf.tensor.data, ph)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (r, r), (r, r)))
-    gxp = np.zeros_like(xp)
-    for q, (_, _, rows, cols) in enumerate(_taps(k, step, *kd.shape[4:])):
-        for di in range(ph):
-            for dj in range(ph):
-                gxp[:, :, rows, cols] += kd[:, q, di, dj][:, None] * go[:, :, di, dj]
-    # Source window of every offset at once: (n, c, k, k, 1, 1, hb, wb).
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    xs = win[:, :, ::step, ::step].transpose(0, 1, 4, 5, 2, 3)[:, :, :, :, None, None]
-    gk = np.zeros((n, k, k) + kd.shape[2:], dtype=x.dtype)
-    prod = np.empty_like(gk)
-    for ch in range(c):
-        gk += np.multiply(go[:, None, None, ch], xs[:, ch], out=prod)
+    hb, wb = kd.shape[4:]
+    gxp = np.zeros((n, c, h + 2 * r, w + 2 * r), dtype=x.dtype)
+    fast_phases = nn._gemm_tier(ph * ph)
+    for q, (_, _, rows, cols) in enumerate(_taps(k, step, hb, wb)):
+        if fast_phases:
+            gxp[:, :, rows, cols] += np.einsum("npqhw,ncpqhw->nchw", kd[:, q], go,
+                                               optimize=False)
+        else:
+            for di in range(ph):
+                for dj in range(ph):
+                    gxp[:, :, rows, cols] += kd[:, q, di, dj][:, None] * go[:, :, di, dj]
+    if nn._gemm_tier(c):
+        gk = np.empty((n, k * k, hb, ph, wb, ph), dtype=x.dtype)
+        for bs, rs, win in _unfold_blocks(x.data, k, step, hb, wb):
+            _put_location_major(gk[bs, :, rs], win @ _location_major(go[bs, ..., rs, :]))
+        gk = gk.reshape(kf.tensor.shape)
+    else:
+        # Source window of every offset at once: (n, c, k, k, 1, 1, hb, wb).
+        xp = np.pad(x.data, ((0, 0), (0, 0), (r, r), (r, r)))
+        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+        xs = win[:, :, ::step, ::step].transpose(0, 1, 4, 5, 2, 3)[:, :, :, :, None, None]
+        acc = np.zeros((n, k, k) + kd.shape[2:], dtype=x.dtype)
+        prod = np.empty_like(acc)
+        for ch in range(c):
+            acc += np.multiply(go[:, None, None, ch], xs[:, ch], out=prod)
+        gk = _from_phases(acc.reshape(kd.shape))
     grad_x = gxp[:, :, r:r + h, r:r + w].copy() if r else gxp
-    return Tensor(grad_x), Tensor(_from_phases(gk.reshape(kd.shape)))
+    return Tensor(grad_x), Tensor(gk)
+
+
+# The fast tier unfolds source windows in blocks of about this many bytes.
+_BLOCK_BYTES = 1 << 20
+
+
+def _location_major(a: np.ndarray) -> np.ndarray:
+    """A block of a phase-major array, (nb, c, ph, ph, rb, wb) -> contiguous
+    (nb*rb*wb, c, ph*ph): one (c, ph*ph) matrix per source location."""
+    c, ph = a.shape[1], a.shape[2]
+    return np.ascontiguousarray(a.transpose(0, 4, 5, 1, 2, 3)).reshape(-1, c, ph * ph)
+
+
+def _put_location_major(dst: np.ndarray, prod: np.ndarray) -> None:
+    """Write a block's (locations, c, ph*ph) product into dst, its
+    (nb, c, rb, ph, wb, ph) block of a map laid out as (n, c, hb, ph, wb, ph),
+    which is (n, c, ph*hb, ph*wb) with target (ph*i + di, ph*j + dj) at
+    [i, di, j, dj]."""
+    nb, c, rb, ph, wb, _ = dst.shape
+    dst[...] = prod.reshape(nb, rb, wb, c, ph, ph).transpose(0, 3, 1, 4, 2, 5)
+
+
+def _unfold_blocks(x: np.ndarray, k: int, step: int, hb: int, wb: int):
+    """(images, rows, windows) of each block of the fast tier's unfold.
+
+    windows is a fresh contiguous (locations, k*k, c) array: for each
+    location (i, j) of the block's rows of the hb x wb grid, the k x k window
+    of the zero-padded source x at (step*i, step*j), offsets in ascending q.
+    It is copied from a channels-last copy of the padded source, so every
+    copied run is one window row of c contiguous values. A block holds whole
+    images while one image fits in _BLOCK_BYTES, else rows of one image, so
+    no unfold of a whole large map is ever held at once.
+
+    The (n, hb, wb, k, k, c) window view is built over src's buffer
+    directly: sliding_window_view goes through __array_interface__, which
+    on a fresh array each call grows the process's memory by about 0.6 MiB
+    over a few thousand calls (gradcheck makes tens of thousands).
+    """
+    n, c, h, w = x.shape
+    r = k // 2
+    src = np.zeros((n, h + 2 * r, w + 2 * r, c), dtype=x.dtype)
+    src[:, r:r + h, r:r + w] = x.transpose(0, 2, 3, 1)
+    sn, sh, sw, sc = src.strides
+    win = np.ndarray((n, hb, wb, k, k, c), src.dtype, src, 0,
+                     (sn, step * sh, step * sw, sh, sw, sc))
+    rows = max(1, _BLOCK_BYTES // (wb * c * k * k * x.itemsize))
+    if rows >= hb:
+        per = rows // hb
+        spans = [(slice(b, b + per), slice(0, hb)) for b in range(0, n, per)]
+    else:
+        spans = [(slice(b, b + 1), slice(i, i + rows))
+                 for b in range(n) for i in range(0, hb, rows)]
+    for bs, rs in spans:
+        yield bs, rs, np.ascontiguousarray(win[bs, rs]).reshape(-1, k * k, c)
 
 
 # ---------------------------------------------------------------------------

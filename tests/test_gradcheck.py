@@ -1,17 +1,20 @@
 """Tests for the finite-difference gradient oracle itself, then the registry.
 
-The oracle is validated against closed-form derivatives (linear and
-quadratic functions where central differences are exact to machine noise),
-and against a deliberately wrong gradient that it must flag.
+The oracle is validated against closed-form derivatives (linear, quadratic
+and quartic functions where its stencils are exact to machine noise), against
+deliberately wrong gradients that it must flag, and on the seeds where its
+2-point difference alone failed a correct backward.
 """
 
 import numpy as np
 import pytest
 
+from carafe import nn
 from carafe.errors import NumericError
-from carafe.gradcheck import (REGISTRY, CheckProblem, check_op,
-                              check_problem, finite_diff, finite_diff_array,
-                              registered_ops, relative_error)
+from carafe.gradcheck import (DEFAULT_TOL, FALLBACK_EPS, FOUR_POINT, REGISTRY,
+                              CheckProblem, check_op, check_problem,
+                              finite_diff, finite_diff_array, registered_ops,
+                              relative_error)
 from carafe.tensor import Tensor
 
 
@@ -64,6 +67,27 @@ class TestOracleClosedForms:
         g = finite_diff_array(lambda: float(np.sum(arr ** 2)), arr)
         np.testing.assert_allclose(g, 2 * arr, rtol=1e-9)
 
+    def test_four_point_stencil_exact_on_quartics(self):
+        # (-f(2h) + 8f(h) - 8f(-h) + f(-2h)) / 12h has no truncation error
+        # up to degree 4, so only rounding is left.
+        arr = np.random.default_rng(45).standard_normal(8)
+        g = finite_diff_array(lambda: float(np.sum(arr ** 4)), arr,
+                              FALLBACK_EPS, stencil=FOUR_POINT)
+        np.testing.assert_allclose(g, 4 * arr ** 3, rtol=1e-9, atol=1e-10)
+
+    def test_indices_limit_the_elements_differenced(self):
+        arr = np.arange(1.0, 6.0)
+        calls = []
+
+        def loss():
+            calls.append(1)
+            return float(np.sum(arr ** 2))
+
+        g = finite_diff_array(loss, arr, indices=[1, 3])
+        assert len(calls) == 4
+        assert np.array_equal(g == 0, [True, False, True, False, True])
+        np.testing.assert_allclose(g[[1, 3]], [4.0, 8.0], rtol=1e-7)
+
     def test_bad_eps_rejected(self):
         with pytest.raises(ValueError):
             finite_diff_array(lambda: 0.0, np.zeros(2), eps=0.0)
@@ -107,6 +131,45 @@ class TestCheckProblem:
         assert report.max_rel_error > 0.5
         assert report.worst_index == ("x", 3)
 
+    def test_one_part_in_ten_thousand_caught(self):
+        arr = np.random.default_rng(43).standard_normal(6)
+
+        def analytic():
+            g = 2 * arr
+            g[2] *= 1 + 1e-4
+            return {"x": g}
+
+        problem = CheckProblem(loss=lambda: float(np.sum(arr ** 2)),
+                               targets=[("x", arr)], analytic=analytic)
+        report = check_problem("quad", problem)
+        assert not report.passed
+        assert report.worst_index == ("x", 2)
+        assert report.max_rel_error == pytest.approx(1e-4, rel=1e-3)
+
+    def test_rounding_noise_is_differenced_again_with_four_points(self):
+        # Gradients of about 1e-3 under a loss of about 1e4: the 2-point
+        # quotient at eps 1e-5 carries rounding of ~1e-12 / 2e-5 and misses
+        # 1e-5 on some elements; only those are differenced again, with the
+        # 4-point stencil at FALLBACK_EPS, and then every element passes.
+        rng = np.random.default_rng(44)
+        c = rng.uniform(-1e-3, 1e-3, 20)
+        arr = rng.uniform(-1.0, 1.0, 20)
+        calls = []
+
+        def loss():
+            calls.append(1)
+            return float(1e4 + np.sum(c * arr))
+
+        problem = CheckProblem(loss=loss, targets=[("x", arr)],
+                               analytic=lambda: {"x": c.copy()})
+        misses = int((relative_error(c, finite_diff_array(loss, arr))
+                      >= DEFAULT_TOL).sum())
+        assert misses
+        calls.clear()
+        report = check_problem("offset", problem)
+        assert report.passed, report.to_payload()
+        assert len(calls) == 2 * arr.size + 4 * misses
+
     def test_missing_analytic_target(self):
         arr = np.zeros(3)
         problem = CheckProblem(loss=lambda: 0.0, targets=[("x", arr)],
@@ -141,6 +204,18 @@ class TestRegistry:
         assert report.passed, (
             f"{name}: max rel error {report.max_rel_error:.3e} at "
             f"{report.worst_index}")
+
+    # Seeds at which the 2-point difference alone failed these correct
+    # backwards (max rel error 1.0e-5 to 1.7e-4, on elements whose gradient
+    # is tiny next to the loss); with the 4-point fallback they pass on both
+    # tiers.
+    @pytest.mark.parametrize("tier", ["exact", "fast"])
+    @pytest.mark.parametrize("seed", [4, 6, 9])
+    @pytest.mark.parametrize("name", ["carafe_up", "carafe_up_sigmoid_norm"])
+    def test_small_gradient_seeds_pass(self, name, seed, tier):
+        with nn.exact_tier(tier == "exact"):
+            report = check_op(name, seed=seed)
+        assert report.passed, report.to_payload()
 
     def test_seed_changes_problem_not_outcome(self):
         a = check_op("conv2d", seed=1)
