@@ -15,9 +15,11 @@ nn._gemm_tier from reassembly, so one patch of it sees every decision:
   demo.compare_operators run on their caller's tier.
 - The fast tier is the default, for callers that train or run the layers
   themselves, as scripts/seed_sensitivity.py does when it trains the
-  criterion 7/8 nets on both tiers with exact_tier(exact). Convolution keeps
-  the ascending tap loop but folds the channels of each tap into one BLAS
-  matrix product (shift-and-GEMM); reassembly's tier is described in
+  criterion 7/8 nets on both tiers with exact_tier(exact). Convolution
+  unfolds its input into blocks of (locations, k*k*c_in) windows
+  (_unfold_blocks, shared with reassembly) and takes one GEMM per block
+  against the (c_out, k*k*c_in) weight matrix (blocked im2col + GEMM,
+  Chellapilla, Puri and Simard 2006); reassembly's tier is described in
   reassembly.py. Its sums run in BLAS order: it is deterministic run to run
   in one process, and agrees with the exact tier within the tolerances
   pinned in tests/test_fast_tier.py, not bitwise.
@@ -258,85 +260,199 @@ def exact_tier(exact: bool = True):
 
 
 def _gemm_tier(terms: int) -> bool:
-    """Whether a conv or reassembly seam takes the fast tier's products. Not
-    on the exact tier, and not for a one-term contraction: there each product
-    is a single multiply, so the exact fold gives the same bits with fewer
-    numpy calls."""
+    """Whether a conv or reassembly seam takes the fast tier's products.
+    terms is the length of the seam's contraction: c*k*k for a conv's gather
+    or scatter, the locations for a weight gradient. Not on the exact tier,
+    and not for a one-term contraction: there each product is a single
+    multiply, so the exact fold gives the same bits with fewer numpy
+    calls."""
     return terms > 1 and not _EXACT.get()
 
 
-def _tap_matrices(weights: np.ndarray) -> np.ndarray:
-    """weights (a, b, k, k) -> (k, k, a, b), contiguous: one BLAS operand per
-    tap."""
-    return np.ascontiguousarray(weights.transpose(2, 3, 0, 1))
+# The fast tier unfolds windows in blocks of about this many bytes. Measured
+# on train_toy: fresh blocks of 1 MiB or more cost more in page faults than
+# they save, and 64 KiB blocks pay per-block overhead; reassembly on
+# carafe_paper is flat from 128 KiB to 1 MiB.
+_BLOCK_BYTES = 1 << 18
 
 
-def _channel_major(a: np.ndarray) -> np.ndarray:
-    """(n, c, h, w) -> the (c, n*h*w) matrix of its channel rows."""
-    return a.transpose(1, 0, 2, 3).reshape(a.shape[1], -1)
+def _spans(n: int, hb: int, row_bytes: int) -> list:
+    """(images, rows) slices of each block over n images of hb rows of
+    row_bytes each: whole images while one fits in _BLOCK_BYTES, else rows
+    of one image, the last block of each image ragged. In order, so the
+    blocks tile the (n, hb) grid location by location."""
+    rows = max(1, _BLOCK_BYTES // row_bytes)
+    if rows >= hb:
+        per = rows // hb
+        return [(slice(b, b + per), slice(0, hb)) for b in range(0, n, per)]
+    return [(slice(b, b + 1), slice(i, i + rows))
+            for b in range(n) for i in range(0, hb, rows)]
 
 
-def _tap_windows(src: np.ndarray, k: int, stride: int, h: int, w: int):
-    """(ki, kj, window) of each tap, row-major: the fast tier's GEMM operand,
-    _channel_major of the strided h x w window of src that the tap meets."""
-    for ki, kj, rows, cols in _taps(k, stride, h, w):
-        yield ki, kj, _channel_major(src[:, :, rows, cols])
+def _unfold_blocks(x: np.ndarray, k: int, step: int, pad: int, hb: int,
+                   wb: int):
+    """(images, rows, windows) of each block of the fast tier's unfold,
+    shared by convolution and reassembly.
 
+    windows is a contiguous (locations, k*k, c) array: for each location
+    (i, j) of the block's rows of the hb x wb grid, the k x k window at
+    (step*i, step*j) of x zero-padded by pad, taps row-major. It is copied
+    from a channels-last copy of the padded x, so every copied run is one
+    window row of c contiguous values, and no unfold of a whole large map is
+    ever held at once. Every block is copied into one buffer, so a caller
+    uses each block's windows before it asks for the next block: a fresh
+    array per block would pay the page faults of fresh memory every time.
 
-def _gather_taps(acc: np.ndarray, src: np.ndarray, weights: np.ndarray,
-                 stride: int) -> np.ndarray:
-    """acc[:, o, i, j] += weights[o, c, ki, kj] * src[:, c, ki + s*i, kj + s*j].
-
-    The one gather fold. src is already padded. Exact tier: per element of
-    acc, taps fold in (c, ki, kj) order on top of whatever acc holds. Fast
-    tier: per tap, acc += W[:, :, ki, kj] @ window.
+    The (n, hb, wb, k, k, c) window view is built over src's buffer
+    directly: sliding_window_view goes through __array_interface__, which
+    on a fresh array each call grows the process's memory by about 0.6 MiB
+    over a few thousand calls (gradcheck makes tens of thousands).
     """
-    n, c_out, h, w = acc.shape
-    k = weights.shape[2]
-    if _gemm_tier(weights.shape[1]):
-        acc_cm = acc.transpose(1, 0, 2, 3)
-        tap_w = _tap_matrices(weights)
-        for ki, kj, win in _tap_windows(src, k, stride, h, w):
-            acc_cm += (tap_w[ki, kj] @ win).reshape(c_out, n, h, w)
-        return acc
-    for c in range(weights.shape[1]):
-        for ki, kj, rows, cols in _taps(k, stride, h, w):
-            w_c = weights[:, c, ki, kj].reshape(1, -1, 1, 1)
-            acc += w_c * src[:, c, rows, cols][:, None]
+    n, c, h, w = x.shape
+    src = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
+    src[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
+    sn, sh, sw, sc = src.strides
+    win = np.ndarray((n, hb, wb, k, k, c), src.dtype, src, 0,
+                     (sn, step * sh, step * sw, sh, sw, sc))
+    spans = _spans(n, hb, wb * k * k * c * x.itemsize)
+    bs, rs = spans[0]
+    buf = np.empty(win[bs, rs].size, dtype=x.dtype)
+    for bs, rs in spans:
+        blk = win[bs, rs]
+        out = buf[:blk.size].reshape(blk.shape)
+        np.copyto(out, blk)
+        yield bs, rs, out.reshape(-1, k * k, c)
+
+
+def _weight_matrix(weights: np.ndarray) -> np.ndarray:
+    """weights (a, b, k, k) -> the contiguous (a, k*k*b) matrix whose
+    columns run in the order of an unfolded window: taps, then channels."""
+    a, b, k, _ = weights.shape
+    return np.ascontiguousarray(weights.transpose(0, 2, 3, 1)).reshape(a, k * k * b)
+
+
+def _is_pointwise(k: int, stride: int, pad: int) -> bool:
+    """A 1x1, stride-1, unpadded conv: each (n, c, h*w) image of the NCHW
+    map is already its GEMM operand, so it needs no unfold."""
+    return k == 1 and stride == 1 and pad == 0
+
+
+def _gemm_gather(x: np.ndarray, weights: np.ndarray, stride: int,
+                 pad: int) -> np.ndarray:
+    """The fast tier of _gather_taps, without the bias: one GEMM per block
+    of unfolded windows, Wm @ colsᵀ, into a (c_out, n, h_out, w_out) result,
+    which at n = 1 is already NCHW."""
+    n, c, h, w = x.shape
+    c_out, _, k, _ = weights.shape
+    if _is_pointwise(k, stride, pad):
+        out = np.matmul(weights.reshape(c_out, c), x.reshape(n, c, h * w))
+        return out.reshape(n, c_out, h, w)
+    h_out, w_out = conv_output_hw(h, w, k, stride, pad)
+    wm = _weight_matrix(weights)
+    out = np.empty((c_out, n, h_out, w_out), dtype=x.dtype)
+    out_m = out.reshape(c_out, -1)
+    lo = 0
+    for _, _, cols in _unfold_blocks(x, k, stride, pad, h_out, w_out):
+        hi = lo + len(cols)
+        np.matmul(wm, cols.reshape(hi - lo, -1).T, out=out_m[:, lo:hi])
+        lo = hi
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
+
+
+def _gather_taps(x: np.ndarray, weights: np.ndarray, stride: int, pad: int,
+                 bias: np.ndarray | None = None) -> np.ndarray:
+    """out[:, o, i, j] = bias[o] + sum over (c, ki, kj) of
+    weights[o, c, ki, kj] * xp[:, c, ki + s*i, kj + s*j], xp being x
+    zero-padded by pad; from zero without a bias.
+
+    The one gather fold. Exact tier: per element of out, taps fold in
+    (c, ki, kj) order on top of the bias. Fast tier: one GEMM per block of
+    unfolded windows against the (c_out, k*k*c) weight matrix, then the
+    bias.
+    """
+    n, c, h, w = x.shape
+    c_out, _, k, _ = weights.shape
+    h_out, w_out = conv_output_hw(h, w, k, stride, pad)
+    if _gemm_tier(c * k * k):
+        out = _gemm_gather(x, weights, stride, pad)
+        if bias is not None:
+            out += bias.reshape(1, c_out, 1, 1)
+        return out
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    acc = np.zeros((n, c_out, h_out, w_out), dtype=x.dtype)
+    if bias is not None:
+        acc[...] = bias.reshape(1, c_out, 1, 1)
+    for ch in range(c):
+        for ki, kj, rows, cols in _taps(k, stride, h_out, w_out):
+            w_c = weights[:, ch, ki, kj].reshape(1, -1, 1, 1)
+            acc += w_c * xp[:, ch, rows, cols][:, None]
     return acc
 
 
-def _scatter_taps(acc: np.ndarray, src: np.ndarray, weights: np.ndarray,
-                  stride: int) -> np.ndarray:
-    """acc[:, o, ki + s*i, kj + s*j] += weights[c, o, ki, kj] * src[:, c, i, j].
+def _scatter_taps(src: np.ndarray, weights: np.ndarray, stride: int, pad: int,
+                  h: int, w: int) -> np.ndarray:
+    """out[:, o, ki + s*i - pad, kj + s*j - pad] += weights[c, o, ki, kj] *
+    src[:, c, i, j], for the (n, o, h, w) result.
 
-    The adjoint of _gather_taps and the one scatter fold. acc is the padded
-    (or uncropped) map. Exact tier: per element of acc, taps fold in
-    (c, ki, kj) order. Fast tier: per tap, acc[view] += W[:, :, ki, kj].T @ src.
+    The adjoint of _gather_taps and the one scatter fold. Exact tier: per
+    element of the padded result, taps fold in (c, ki, kj) order from zero;
+    then the crop. Fast tier: at stride 1 (and pad < k), the gather of src
+    zero-padded by k - 1 - pad with the flipped, transposed kernel, so no
+    scatter; otherwise one src_block @ Wm per block, then k*k channels-last
+    adds.
     """
-    n, _, h, w = src.shape
+    n, c, hs, ws = src.shape
     c_o, k = weights.shape[1], weights.shape[2]
-    if _gemm_tier(weights.shape[0]):
-        acc_cm = acc.transpose(1, 0, 2, 3)
-        tap_w = _tap_matrices(weights)
-        src_cm = _channel_major(src)
-        for ki, kj, rows, cols in _taps(k, stride, h, w):
-            acc_cm[:, :, rows, cols] += (tap_w[ki, kj].T @ src_cm).reshape(c_o, n, h, w)
-        return acc
-    for c in range(weights.shape[0]):
-        for ki, kj, rows, cols in _taps(k, stride, h, w):
-            w_c = weights[c, :, ki, kj].reshape(1, -1, 1, 1)
-            acc[:, :, rows, cols] += w_c * src[:, c][:, None]
-    return acc
+    if _gemm_tier(c * k * k):
+        if stride == 1 and pad < k:
+            flipped = weights[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            return _gemm_gather(src, flipped, 1, k - 1 - pad)
+        wm = _weight_matrix(weights)
+        src_cl = np.ascontiguousarray(src.transpose(0, 2, 3, 1))
+        acc = np.zeros((n, h + 2 * pad, w + 2 * pad, c_o), dtype=src.dtype)
+        spans = _spans(n, hs, ws * k * k * c_o * src.itemsize)
+        buf = np.empty((src_cl[spans[0]].size // c, wm.shape[1]), dtype=src.dtype)
+        for bs, rs in spans:
+            blk = src_cl[bs, rs]
+            nb, rb = blk.shape[:2]
+            prod = np.matmul(blk.reshape(-1, c), wm, out=buf[:nb * rb * ws])
+            prod = prod.reshape(nb, rb, ws, k, k, c_o)
+            dst = acc[bs, stride * rs.start:]
+            for ki, kj, rows, cols in _taps(k, stride, rb, ws):
+                dst[:, rows, cols] += prod[:, :, :, ki, kj]
+        acc = acc[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
+        return np.ascontiguousarray(acc)
+    acc = np.zeros((n, c_o, h + 2 * pad, w + 2 * pad), dtype=src.dtype)
+    for ch in range(c):
+        for ki, kj, rows, cols in _taps(k, stride, hs, ws):
+            w_c = weights[ch, :, ki, kj].reshape(1, -1, 1, 1)
+            acc[:, :, rows, cols] += w_c * src[:, ch][:, None]
+    return acc[:, :, pad:pad + h, pad:pad + w].copy() if pad else acc
 
 
 def _fold_weight_taps(grad_w: np.ndarray, lhs: np.ndarray, src: np.ndarray,
-                      stride: int, h: int, w: int) -> None:
-    """The fast tier of a conv weight gradient: per tap,
-    grad_w[:, :, ki, kj] += lhs @ window.T, where lhs is the
-    (grad_w.shape[0], n*h*w) matrix that meets each window of src."""
-    for ki, kj, win in _tap_windows(src, grad_w.shape[2], stride, h, w):
-        grad_w[:, :, ki, kj] += lhs @ win.T
+                      stride: int, pad: int) -> None:
+    """The fast tier of a conv weight gradient: grad_w[a, b, ki, kj] += the
+    sum over (batch, i, j) of lhs[:, a, i, j] * srcp[:, b, ki + s*i, kj + s*j],
+    srcp being src zero-padded by pad. One lhs_block @ cols per block of
+    unfolded windows of src, lhs laid out (a, locations); a pointwise conv
+    takes lhs @ srcᵀ per image."""
+    n, a, h, w = lhs.shape
+    b, k = grad_w.shape[1], grad_w.shape[2]
+    if _is_pointwise(k, stride, pad):
+        per_image = np.matmul(lhs.reshape(n, a, h * w),
+                              src.reshape(n, b, h * w).transpose(0, 2, 1))
+        grad_w[:, :, 0, 0] += per_image.sum(axis=0)
+        return
+    lhs_m = lhs.transpose(1, 0, 2, 3).reshape(a, -1)  # a copy unless n == 1
+    gm = np.zeros((a, k * k * b), dtype=grad_w.dtype)
+    part = np.empty_like(gm)
+    lo = 0
+    for _, _, cols in _unfold_blocks(src, k, stride, pad, h, w):
+        hi = lo + len(cols)
+        gm += np.matmul(lhs_m[:, lo:hi], cols.reshape(hi - lo, -1), out=part)
+        lo = hi
+    grad_w += gm.reshape(a, k, k, b).transpose(0, 3, 1, 2)
 
 
 def conv2d_forward(x: Tensor, p: ConvLayerParams, stride: int = 1, pad: int = 0) -> Tensor:
@@ -345,25 +461,19 @@ def conv2d_forward(x: Tensor, p: ConvLayerParams, stride: int = 1, pad: int = 0)
     Output (n, c_out, (h+2p-k)//s + 1, (w+2p-k)//s + 1).
     """
     _check_conv_args(x, p)
-    n, _, h, w = x.shape
-    c_out, _, k, _ = p.weights.shape
-    h_out, w_out = conv_output_hw(h, w, k, stride, pad)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out = np.empty((n, c_out, h_out, w_out), dtype=x.dtype)
-    out[...] = p.bias.reshape(1, c_out, 1, 1)
-    return Tensor(_gather_taps(out, xp, p.weights, stride))
+    return Tensor(_gather_taps(x.data, p.weights, stride, pad, p.bias))
 
 
 def conv2d_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
                     stride: int = 1, pad: int = 0) -> Tensor:
     """Exact adjoint of conv2d_forward.
 
-    Returns grad wrt x (the scatter fold into the padded input) and
-    accumulates grad_weights/grad_bias in place. On the exact tier, per
-    parameter, their reduction tree is column sums over output cols first,
-    then rows, then batch; every tap and the bias ride in one im2col row per
-    output row. On the fast tier each tap's weights take one GEMM and the
-    bias a numpy sum.
+    Returns grad wrt x (the scatter fold) and accumulates
+    grad_weights/grad_bias in place. On the exact tier, per parameter, their
+    reduction tree is column sums over output cols first, then rows, then
+    batch; every tap and the bias ride in one im2col row per output row. On
+    the fast tier the weights take one GEMM per block of unfolded windows
+    and the bias a numpy sum.
     """
     _check_conv_args(x, p)
     n, c_in, h, w = x.shape
@@ -376,22 +486,18 @@ def conv2d_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
     if grad_out.dtype != x.dtype:
         raise DTypeError(f"dtype mismatch: grad_out {grad_out.dtype} vs input {x.dtype}")
     go = grad_out.data
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    gxp = _scatter_taps(np.zeros_like(xp), go, p.weights, stride)
-    if pad:
-        grad_x = gxp[:, :, pad:pad + h, pad:pad + w].copy()
-    else:
-        grad_x = gxp
+    grad_x = _scatter_taps(go, p.weights, stride, pad, h, w)
     if _gemm_tier(n * h_out * w_out):
-        _fold_weight_taps(p.grad_weights, _channel_major(go), xp, stride,
-                          h_out, w_out)
+        _fold_weight_taps(p.grad_weights, go, x.data, stride, pad)
         p.grad_bias += go.sum(axis=(0, 2, 3))
         return Tensor(grad_x)
     # im2col row oi: (b, oj, ci*k*k + ki*k + kj) <- x window; last column 1,
     # so grad_bias is the last column of the same fold (go * 1 == go).
     taps = c_in * k * k
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride].transpose(0, 2, 3, 1, 4, 5)
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    sn, sc, sh, sw = xp.strides
+    win = np.ndarray((n, h_out, w_out, c_in, k, k), xp.dtype, xp, 0,
+                     (sn, stride * sh, stride * sw, sc, sh, sw))
     cols = np.ones((n, w_out, taps + 1), dtype=x.dtype)
     cols_x = cols[:, :, :taps].reshape(n, w_out, c_in, k, k)
     prod = np.empty((n, c_out, taps + 1), dtype=x.dtype)
@@ -443,17 +549,15 @@ def transposed_conv_forward(x: Tensor, p: ConvLayerParams, stride: int = 1,
     """Adjoint-of-conv upsampling. Weights (c_src, c_dst, k, k).
 
     Output spatial size stride*(in-1) + k - 2*pad. With the same weights
-    array this is conv2d_backward's grad_x: the same scatter fold into the
-    uncropped map, then the crop, then the bias added once.
+    array this is conv2d_backward's grad_x: the same scatter fold, then the
+    bias added once.
     """
     _check_tconv_args(x, p)
-    n, _, h, w = x.shape
+    h, w = x.shape[2:]
     _, c_dst, k, _ = p.weights.shape
     h_out, w_out = transposed_conv_output_hw(h, w, k, stride, pad)
-    full = np.zeros((n, c_dst, stride * (h - 1) + k, stride * (w - 1) + k),
-                    dtype=x.dtype)
-    _scatter_taps(full, x.data, p.weights, stride)
-    out = full[:, :, pad:pad + h_out, pad:pad + w_out] + p.bias.reshape(1, c_dst, 1, 1)
+    out = _scatter_taps(x.data, p.weights, stride, pad, h_out, w_out)
+    out += p.bias.reshape(1, c_dst, 1, 1)
     return Tensor(out)
 
 
@@ -472,17 +576,17 @@ def transposed_conv_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
         raise ShapeError(
             f"grad_out shape {grad_out.shape} != forward output "
             f"({n},{c_dst},{h_out},{w_out})")
-    go_full = np.pad(grad_out.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    gx = _gather_taps(np.zeros_like(x.data), go_full, p.weights, stride)
+    go = grad_out.data
+    gx = _gather_taps(go, p.weights, stride, pad)
     if _gemm_tier(n * h * w):
-        _fold_weight_taps(p.grad_weights, _channel_major(x.data), go_full,
-                          stride, h, w)
+        _fold_weight_taps(p.grad_weights, x.data, go, stride, pad)
     else:
+        go_full = np.pad(go, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
         for ki, kj, rows, cols in _taps(k, stride, h, w):
             p.grad_weights[:, :, ki, kj] += np.einsum(
                 "bsij,bdij->sd", x.data, go_full[:, :, rows, cols],
                 optimize=False)
-    p.grad_bias += grad_out.data.sum(axis=(0, 2, 3))
+    p.grad_bias += go.sum(axis=(0, 2, 3))
     return Tensor(gx)
 
 

@@ -24,13 +24,14 @@ sigmoid_norm normalizer's sums are nn._fold's.
 
 Reassembly also has a fast tier, taken where nn._gemm_tier says so, seam
 by seam. The forward and the kernel gradient unfold the source windows
-block by block (_unfold_blocks, about 1 MiB per block) and take one batched
-matrix product per block: per source location, its (c, k^2) windows times
-its (k^2, ph^2) kernels, or its (k^2, c) windows times its (c, ph^2) slice
-of grad_y. The up direction's source gradient contracts each offset's
-sigma^2 phases in one einsum; the down direction's has one phase and keeps
-the exact fold. The fast tier's sums run in BLAS and einsum order, within
-the tolerances pinned in tests/test_fast_tier.py of the exact tier's.
+block by block (nn._unfold_blocks, shared with convolution, about
+nn._BLOCK_BYTES per block) and take one batched matrix product per block:
+per source location, its (c, k^2) windows times its (k^2, ph^2) kernels,
+or its (k^2, c) windows times its (c, ph^2) slice of grad_y. The up
+direction's source gradient contracts each offset's sigma^2 phases in one
+einsum; the down direction's has one phase and keeps the exact fold. The
+fast tier's sums run in BLAS and einsum order, within the tolerances pinned
+in tests/test_fast_tier.py of the exact tier's.
 """
 
 from __future__ import annotations
@@ -335,7 +336,7 @@ def reassemble(x: Tensor, kf: KernelField, cfg: CarafeConfig,
     kf[b, q, i', j'] * x[b, c, i + dn, j + dm], with (i, j) the mapped source
     location, q = (dn+r)*k + (dm+r), zero padding off the edges; fold order
     at _phase_step. The fast tier takes one batched matrix product per block
-    of unfolded windows instead (_unfold_blocks).
+    of unfolded windows instead (nn._unfold_blocks).
     """
     _check_reassemble_args(x, kf, cfg, allow_unnormalized)
     n, c, _, _ = x.shape
@@ -346,7 +347,7 @@ def reassemble(x: Tensor, kf: KernelField, cfg: CarafeConfig,
     hb, wb = kd.shape[4:]
     if nn._gemm_tier(k * k):
         out = np.empty((n, c, hb, ph, wb, ph), dtype=x.dtype)
-        for bs, rs, win in _unfold_blocks(x.data, k, step, hb, wb):
+        for bs, rs, win in nn._unfold_blocks(x.data, k, step, r, hb, wb):
             _put_location_major(out[bs, :, rs],
                                 win.transpose(0, 2, 1) @ _location_major(kd[bs, ..., rs, :]))
         return Tensor(out.reshape(n, c, ph * hb, ph * wb))
@@ -394,14 +395,16 @@ def reassemble_backward(grad_y: Tensor, x: Tensor, kf: KernelField,
                     gxp[:, :, rows, cols] += kd[:, q, di, dj][:, None] * go[:, :, di, dj]
     if nn._gemm_tier(c):
         gk = np.empty((n, k * k, hb, ph, wb, ph), dtype=x.dtype)
-        for bs, rs, win in _unfold_blocks(x.data, k, step, hb, wb):
+        for bs, rs, win in nn._unfold_blocks(x.data, k, step, r, hb, wb):
             _put_location_major(gk[bs, :, rs], win @ _location_major(go[bs, ..., rs, :]))
         gk = gk.reshape(kf.tensor.shape)
     else:
-        # Source window of every offset at once: (n, c, k, k, 1, 1, hb, wb).
+        # Source window of every offset at once: (n, c, k, k, 1, 1, hb, wb),
+        # a view over xp's buffer as in nn._unfold_blocks.
         xp = np.pad(x.data, ((0, 0), (0, 0), (r, r), (r, r)))
-        win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-        xs = win[:, :, ::step, ::step].transpose(0, 1, 4, 5, 2, 3)[:, :, :, :, None, None]
+        sn, sc, sh, sw = xp.strides
+        xs = np.ndarray((n, c, k, k, 1, 1, hb, wb), xp.dtype, xp, 0,
+                        (sn, sc, sh, sw, 0, 0, step * sh, step * sw))
         acc = np.zeros((n, k, k) + kd.shape[2:], dtype=x.dtype)
         prod = np.empty_like(acc)
         for ch in range(c):
@@ -409,10 +412,6 @@ def reassemble_backward(grad_y: Tensor, x: Tensor, kf: KernelField,
         gk = _from_phases(acc.reshape(kd.shape))
     grad_x = gxp[:, :, r:r + h, r:r + w].copy() if r else gxp
     return Tensor(grad_x), Tensor(gk)
-
-
-# The fast tier unfolds source windows in blocks of about this many bytes.
-_BLOCK_BYTES = 1 << 20
 
 
 def _location_major(a: np.ndarray) -> np.ndarray:
@@ -429,40 +428,6 @@ def _put_location_major(dst: np.ndarray, prod: np.ndarray) -> None:
     [i, di, j, dj]."""
     nb, c, rb, ph, wb, _ = dst.shape
     dst[...] = prod.reshape(nb, rb, wb, c, ph, ph).transpose(0, 3, 1, 4, 2, 5)
-
-
-def _unfold_blocks(x: np.ndarray, k: int, step: int, hb: int, wb: int):
-    """(images, rows, windows) of each block of the fast tier's unfold.
-
-    windows is a fresh contiguous (locations, k*k, c) array: for each
-    location (i, j) of the block's rows of the hb x wb grid, the k x k window
-    of the zero-padded source x at (step*i, step*j), offsets in ascending q.
-    It is copied from a channels-last copy of the padded source, so every
-    copied run is one window row of c contiguous values. A block holds whole
-    images while one image fits in _BLOCK_BYTES, else rows of one image, so
-    no unfold of a whole large map is ever held at once.
-
-    The (n, hb, wb, k, k, c) window view is built over src's buffer
-    directly: sliding_window_view goes through __array_interface__, which
-    on a fresh array each call grows the process's memory by about 0.6 MiB
-    over a few thousand calls (gradcheck makes tens of thousands).
-    """
-    n, c, h, w = x.shape
-    r = k // 2
-    src = np.zeros((n, h + 2 * r, w + 2 * r, c), dtype=x.dtype)
-    src[:, r:r + h, r:r + w] = x.transpose(0, 2, 3, 1)
-    sn, sh, sw, sc = src.strides
-    win = np.ndarray((n, hb, wb, k, k, c), src.dtype, src, 0,
-                     (sn, step * sh, step * sw, sh, sw, sc))
-    rows = max(1, _BLOCK_BYTES // (wb * c * k * k * x.itemsize))
-    if rows >= hb:
-        per = rows // hb
-        spans = [(slice(b, b + per), slice(0, hb)) for b in range(0, n, per)]
-    else:
-        spans = [(slice(b, b + 1), slice(i, i + rows))
-                 for b in range(n) for i in range(0, hb, rows)]
-    for bs, rs in spans:
-        yield bs, rs, np.ascontiguousarray(win[bs, rs]).reshape(-1, k * k, c)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
-"""Gates of the fast tier: convolution by one BLAS product per tap, and
-reassembly by one batched product per block of unfolded windows (with the
-up direction's phases contracted in one einsum per offset).
+"""Gates of the fast tier: convolution and reassembly by one GEMM (a
+batched one, for reassembly) per block of unfolded windows, the blocks
+coming from nn._unfold_blocks; the up direction's reassembly source
+gradient contracts its phases in one einsum per offset.
 
 The fast tier sums in BLAS order, so it is held to a tolerance against the
 exact tier rather than to bits: per result array, max|fast - exact| /
 max|exact|. The tolerances are pinned from measurement. Over 200 cases of
 the criterion-6 generator and every conv shape of the train_toy and
 carafe_paper benchmark workloads, the worst conv ratio was 3.0e-15 in fp64
-and 3.0e-6 in fp32 (both on a bias or weight gradient); the bounds below
-leave about 3x of headroom. The reassembly bounds are set the same way,
-from the measurement quoted at REASSEMBLY_TOL.
+and 3.0e-6 in fp32 when the bounds were set (both on a bias or weight
+gradient), and is 2.5e-15 and 1.4e-6 with the blocked GEMM; the bounds
+below leave about 3x of headroom over the first. The reassembly bounds are
+set the same way, from the measurement quoted at REASSEMBLY_TOL. Both gates
+also run with blocks small enough to split an image's rows and leave ragged
+last blocks.
 
 The last section gates where each tier runs. Every artifact writer reaches
 each conv and each reassembly on the exact tier: every CLI command (sweep
@@ -49,7 +53,8 @@ WORKLOAD_CONVS = (
     ((16, 8, 8, 8), 36, 3, 1, 1), ((16, 8, 16, 16), 9, 3, 2, 1),
     ((16, 8, 16, 16), 8, 3, 2, 1), ((1, 64, 16, 16), 100, 3, 1, 1),
     ((1, 256, 16, 16), 64, 1, 1, 0), ((1, 16, 32, 32), 25, 3, 2, 1),
-    ((1, 256, 32, 32), 16, 1, 1, 0),
+    ((1, 256, 32, 32), 16, 1, 1, 0), ((16, 1, 8, 8), 8, 3, 1, 1),
+    ((16, 8, 8, 8), 8, 1, 1, 0), ((16, 8, 8, 8), 8, 3, 1, 1),
 )
 
 
@@ -123,10 +128,14 @@ def test_fast_tier_within_pinned_tolerance_of_exact(dtype):
     assert _worst_ratio(_cases(dtype), dtype) <= FAST_TOL[dtype]
 
 
-def test_fast_tier_repeats_bit_for_bit():
-    for run in _cases(np.float64):
+def _repeats_bit_for_bit(cases):
+    for run in cases:
         first, second = run(), run()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+
+
+def test_fast_tier_repeats_bit_for_bit():
+    _repeats_bit_for_bit(_cases(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +205,62 @@ def test_fast_reassembly_within_pinned_tolerance_of_exact(dtype):
 
 
 def test_fast_reassembly_repeats_bit_for_bit():
-    for run in _reassembly_cases(np.float64):
-        first, second = run(), run()
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+    _repeats_bit_for_bit(_reassembly_cases(np.float64))
+
+
+# ---------------------------------------------------------------------------
+# block boundaries: at the cases below, 3000-byte blocks split each image's
+# rows and leave the last block of each image ragged, and 25000-byte blocks
+# hold several whole images with the last block of the batch ragged
+# (test_block_bytes_split_rows_and_images checks this on the forward
+# unfolds).
+
+BLOCK_BYTES = (3000, 25000)
+# The third conv, a padded 1 x 1, takes the scatter branch at stride 1:
+# with pad >= k there is no padding k - 1 - pad for the gather.
+BLOCK_CONVS = (((5, 3, 7, 5), 4, 3, 1, 1), ((5, 3, 9, 7), 4, 3, 2, 1),
+               ((5, 3, 7, 5), 4, 1, 1, 1))
+BLOCK_REASSEMBLY = (((5, 4, 7, 5), "up", 3), ((5, 4, 9, 7), "down", 3))
+
+
+def _block_cases(dtype):
+    rng = np.random.default_rng(45)
+    convs = [_conv_results(rng, *case, dtype) for case in BLOCK_CONVS]
+    reassemblies = [_reassembly_results(rng, shape, direction, k, 2, dtype)
+                    for shape, direction, k in BLOCK_REASSEMBLY]
+    return convs, reassemblies
+
+
+def test_block_bytes_split_rows_and_images(monkeypatch):
+    # The forward unfolds of the first conv (7 x 5 locations of 27 values)
+    # and of the up reassembly (7 x 5 locations of 36 values), 5 images each.
+    for row_bytes in (5 * 27 * 8, 5 * 36 * 8):
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", BLOCK_BYTES[0])
+        assert nn._spans(5, 7, row_bytes) == [
+            (slice(b, b + 1), slice(i, i + 2)) for b in range(5)
+            for i in (0, 2, 4, 6)]
+        monkeypatch.setattr(nn, "_BLOCK_BYTES", BLOCK_BYTES[1])
+        per = BLOCK_BYTES[1] // row_bytes // 7
+        assert per in (2, 3)
+        assert nn._spans(5, 7, row_bytes) == [
+            (slice(b, b + per), slice(0, 7)) for b in range(0, 5, per)]
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_blocked_fast_tier_within_pinned_tolerance_of_exact(monkeypatch,
+                                                            block_bytes, dtype):
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", block_bytes)
+    convs, reassemblies = _block_cases(dtype)
+    assert _worst_ratio(convs, dtype) <= FAST_TOL[dtype]
+    assert _worst_ratio(reassemblies, dtype) <= REASSEMBLY_TOL[dtype]
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_BYTES)
+def test_blocked_fast_tier_repeats_bit_for_bit(monkeypatch, block_bytes):
+    monkeypatch.setattr(nn, "_BLOCK_BYTES", block_bytes)
+    convs, reassemblies = _block_cases(np.float64)
+    _repeats_bit_for_bit(convs + reassemblies)
 
 
 def test_fast_reassembly_returns_fresh_arrays_and_leaves_inputs_alone():
@@ -294,7 +356,7 @@ def test_conv_ops_cover_every_conv_kind():
 # the fast one; this runs the ones with a tier seam on the exact tier, so
 # each tier's conv and reassembly backward keeps a finite-difference gate.
 @pytest.mark.parametrize("name", TIERED_OPS)
-def test_gradients_hold_on_the_fast_tier(name):
+def test_gradients_hold_on_the_exact_tier(name):
     with nn.exact_tier():
         report = gradcheck.check_op(name)
     assert report.passed, report.to_payload()
