@@ -27,11 +27,13 @@ by seam. The forward and the kernel gradient unfold the source windows
 block by block (nn._unfold_blocks, shared with convolution, about
 nn._BLOCK_BYTES per block) and take one batched matrix product per block:
 per source location, its (c, k^2) windows times its (k^2, ph^2) kernels,
-or its (k^2, c) windows times its (c, ph^2) slice of grad_y. The up
-direction's source gradient contracts each offset's sigma^2 phases in one
-einsum; the down direction's has one phase and keeps the exact fold. The
-fast tier's sums run in BLAS and einsum order, within the tolerances pinned
-in tests/test_fast_tier.py of the exact tier's.
+or its (k^2, c) windows times its (c, ph^2) block of grad_y. The backward
+reads grad_y from one channels-last copy, (ph^2, c) per source location.
+The up direction's source gradient gathers from it, one batched matmul per
+window offset; the down direction's has one phase and scatters it per
+offset, runs of c contiguous values, in the exact fold's order on both
+tiers. The fast tier's sums run in BLAS order, within the tolerances
+pinned in tests/test_fast_tier.py of the exact tier's.
 """
 
 from __future__ import annotations
@@ -365,9 +367,11 @@ def reassemble_backward(grad_y: Tensor, x: Tensor, kf: KernelField,
 
     Each phase of the source scatter writes one strided block; the kernel
     gradient loops over channels once, each step covering every offset and
-    phase. Fold orders at _phase_step. The fast tier contracts the phases of
-    each offset in one einsum, and takes the kernel gradient as one batched
-    matrix product per block of unfolded windows.
+    phase. Fold orders at _phase_step. The down direction's source gradient
+    is one channels-last scatter per offset on both tiers (_scatter_source).
+    The fast tier gathers the up direction's (_gather_source) and takes the
+    kernel gradient as one batched matrix product per block of unfolded
+    windows, both reading grad_y from one _channels_last copy.
     """
     _check_reassemble_args(x, kf, cfg, allow_unnormalized)
     n, c, h, w = x.shape
@@ -380,23 +384,29 @@ def reassemble_backward(grad_y: Tensor, x: Tensor, kf: KernelField,
     k = cfg.k_reassembly
     r = k // 2
     ph, step = _phase_step(cfg)
-    go = _to_phases(grad_y.data, ph)
-    kd = _to_phases(kf.tensor.data, ph)
-    hb, wb = kd.shape[4:]
-    gxp = np.zeros((n, c, h + 2 * r, w + 2 * r), dtype=x.dtype)
-    fast_phases = nn._gemm_tier(ph * ph)
-    for q, (_, _, rows, cols) in enumerate(_taps(k, step, hb, wb)):
-        if fast_phases:
-            gxp[:, :, rows, cols] += np.einsum("npqhw,ncpqhw->nchw", kd[:, q], go,
-                                               optimize=False)
-        else:
+    hb, wb = h_out // ph, w_out // ph
+    gather = ph > 1 and nn._gemm_tier(ph * ph)
+    fast_gk = nn._gemm_tier(c)
+    gl = _channels_last(grad_y.data, ph)
+    go = None if gather and fast_gk else _to_phases(grad_y.data, ph)
+    if ph == 1:
+        grad_x = _scatter_source(gl[:, :, :, 0], kf.tensor.data, k, step, h, w)
+    elif gather:
+        grad_x = _gather_source(gl, _channels_last(kf.tensor.data, ph), k)
+    else:
+        kd = _to_phases(kf.tensor.data, ph)
+        gxp = np.zeros((n, c, h + 2 * r, w + 2 * r), dtype=x.dtype)
+        for q, (_, _, rows, cols) in enumerate(_taps(k, step, hb, wb)):
             for di in range(ph):
                 for dj in range(ph):
                     gxp[:, :, rows, cols] += kd[:, q, di, dj][:, None] * go[:, :, di, dj]
-    if nn._gemm_tier(c):
+        grad_x = gxp[:, :, r:r + h, r:r + w].copy() if r else gxp
+    if fast_gk:
         gk = np.empty((n, k * k, hb, ph, wb, ph), dtype=x.dtype)
         for bs, rs, win in nn._unfold_blocks(x.data, k, step, r, hb, wb):
-            _put_location_major(gk[bs, :, rs], win @ _location_major(go[bs, ..., rs, :]))
+            g = gl[bs, rs]
+            _put_location_major(gk[bs, :, rs], win.reshape(*g.shape[:3], k * k, c)
+                                @ g.swapaxes(-1, -2))
         gk = gk.reshape(kf.tensor.shape)
     else:
         # Source window of every offset at once: (n, c, k, k, 1, 1, hb, wb),
@@ -405,13 +415,64 @@ def reassemble_backward(grad_y: Tensor, x: Tensor, kf: KernelField,
         sn, sc, sh, sw = xp.strides
         xs = np.ndarray((n, c, k, k, 1, 1, hb, wb), xp.dtype, xp, 0,
                         (sn, sc, sh, sw, 0, 0, step * sh, step * sw))
-        acc = np.zeros((n, k, k) + kd.shape[2:], dtype=x.dtype)
+        acc = np.zeros((n, k, k, ph, ph, hb, wb), dtype=x.dtype)
         prod = np.empty_like(acc)
         for ch in range(c):
             acc += np.multiply(go[:, None, None, ch], xs[:, ch], out=prod)
-        gk = _from_phases(acc.reshape(kd.shape))
-    grad_x = gxp[:, :, r:r + h, r:r + w].copy() if r else gxp
+        gk = _from_phases(acc.reshape(n, k * k, ph, ph, hb, wb))
     return Tensor(grad_x), Tensor(gk)
+
+
+def _channels_last(a: np.ndarray, ph: int) -> np.ndarray:
+    """(n, c, ph*hb, ph*wb) -> contiguous (n, hb, wb, ph*ph, c), target
+    (ph*i + di, ph*j + dj) at [i, j, di*ph + dj]: each source location holds
+    its (ph*ph, c) block contiguously."""
+    n, c, h, w = a.shape
+    hb, wb = h // ph, w // ph
+    return np.ascontiguousarray(a.reshape(n, c, hb, ph, wb, ph).transpose(
+        0, 2, 4, 3, 5, 1)).reshape(n, hb, wb, ph * ph, c)
+
+
+def _scatter_source(g: np.ndarray, kd: np.ndarray, k: int, step: int, h: int,
+                    w: int) -> np.ndarray:
+    """Source gradient of one phase, on both tiers: per offset in ascending
+    q, the (n, hb, wb, c) channels-last grad_y g times that offset's
+    (n, k*k, hb, wb) kernel weights, added into the offset's strided window
+    of a padded channels-last map, every run c contiguous values. Each
+    element sums in the exact tier's order (_phase_step)."""
+    n, hb, wb, c = g.shape
+    r = k // 2
+    gxp = np.zeros((n, h + 2 * r, w + 2 * r, c), dtype=g.dtype)
+    prod = np.empty_like(g)
+    for q, (_, _, rows, cols) in enumerate(_taps(k, step, hb, wb)):
+        gxp[:, rows, cols] += np.multiply(kd[:, q, :, :, None], g, out=prod)
+    return np.ascontiguousarray(gxp[:, r:r + h, r:r + w].transpose(0, 3, 1, 2))
+
+
+def _gather_source(gl: np.ndarray, kl: np.ndarray, k: int) -> np.ndarray:
+    """Fast-tier source gradient of the up direction, as a gather: per window
+    offset, one batched matmul gives every source location (i, j) the
+    (1, ph*ph) kernel weights of that offset times the (ph*ph, c) grad_y
+    block of the location whose window reaches (i, j) through it, over the
+    locations where both lie inside the map. gl and kl are the
+    _channels_last copies of grad_y and of the kernel field."""
+    n, h, w, _, c = gl.shape
+    acc = np.zeros((n, h, w, 1, c), dtype=gl.dtype)
+    prod = np.empty_like(acc)
+    for q, (dn, dm) in enumerate(kernel_offsets(k)):
+        src_i, loc_i = _overlap(dn, h)
+        src_j, loc_j = _overlap(dm, w)
+        g = gl[:, loc_i, loc_j]
+        acc[:, src_i, src_j] += np.matmul(kl[:, loc_i, loc_j, None, :, q], g,
+                                          out=prod[:, :g.shape[1], :g.shape[2]])
+    return np.ascontiguousarray(acc[:, :, :, 0].transpose(0, 3, 1, 2))
+
+
+def _overlap(d: int, size: int) -> tuple[slice, slice]:
+    """(sources, locations) along one axis of length size: location i
+    reaches source i + d, and both must lie in [0, size)."""
+    return (slice(max(0, d), max(0, min(size, size + d))),
+            slice(max(0, -d), max(0, min(size, size - d))))
 
 
 def _location_major(a: np.ndarray) -> np.ndarray:

@@ -1,7 +1,10 @@
 """Gates of the fast tier: convolution and reassembly by one GEMM (a
 batched one, for reassembly) per block of unfolded windows, the blocks
 coming from nn._unfold_blocks; the up direction's reassembly source
-gradient contracts its phases in one einsum per offset.
+gradient gathers from a channels-last copy of grad_y, one batched matmul
+per window offset. The down direction's source gradient has no fast tier:
+both tiers run one channels-last scatter, gated here to be the same bits
+as the loop twin.
 
 The fast tier sums in BLAS order, so it is held to a tolerance against the
 exact tier rather than to bits: per result array, max|fast - exact| /
@@ -25,6 +28,7 @@ caller's tier, and scripts/seed_sensitivity.py on the tier it names.
 import argparse
 import ctypes
 import importlib.util
+import itertools
 import json
 import os
 import sys
@@ -35,7 +39,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from carafe import cli, gradcheck, nn
+from carafe import cli, gradcheck, nn, reassembly, reference
 from carafe.demo import SlotSpec, ToyTask, compare_operators, seeded_net, train
 from carafe.reassembly import (CarafeConfig, KernelField, reassemble,
                                reassemble_backward)
@@ -143,7 +147,10 @@ def test_fast_tier_repeats_bit_for_bit():
 
 # Measured over the cases below: 9.0e-16 in fp64 (on a kernel gradient) and
 # 5.5e-7 in fp32 (on a source gradient); about 3x of headroom, as for the
-# convolutions.
+# convolutions. Re-measured, blocked cases included, after the backward
+# moved to one channels-last copy of grad_y: the same two worst ratios,
+# with source gradients at 7.5e-16 and 5.5e-7, forwards at 3.9e-16 and
+# 2.2e-7.
 REASSEMBLY_TOL = {np.float64: 3e-15, np.float32: 2e-6}
 
 # (x shape, direction, k) of every reassembly in one step of the train_toy
@@ -158,9 +165,8 @@ ONE_BY_ONE = tuple(((n, c, 1, 1), d, 1, s) for n, c in ((1, 16), (2, 39))
                    for d in ("down", "up") for s in (1, 2))
 
 
-def _reassembly_results(rng, x_shape, direction, k, sigma, dtype):
-    """A function returning reassemble's output and both of
-    reassemble_backward's gradients on fixed random inputs: signed kernel
+def _reassembly_inputs(rng, x_shape, direction, k, sigma, dtype):
+    """(x, grad_y, kernel field, config) drawn at random: signed kernel
     fields, and about a quarter of x and grad_y at +0.0 or -0.0."""
     cfg = CarafeConfig(direction, sigma, k_reassembly=k)
     n, c = x_shape[:2]
@@ -174,6 +180,13 @@ def _reassembly_results(rng, x_shape, direction, k, sigma, dtype):
     x, gy = draw(x_shape), draw((n, c, h_out, w_out))
     kf = KernelField(Tensor(rng.standard_normal(
         (n, k * k, h_out, w_out)).astype(dtype)), k, True)
+    return x, gy, kf, cfg
+
+
+def _reassembly_results(rng, x_shape, direction, k, sigma, dtype):
+    """A function returning reassemble's output and both of
+    reassemble_backward's gradients on fixed _reassembly_inputs."""
+    x, gy, kf, cfg = _reassembly_inputs(rng, x_shape, direction, k, sigma, dtype)
 
     def run():
         return [reassemble(x, kf, cfg).data,
@@ -206,6 +219,35 @@ def test_fast_reassembly_within_pinned_tolerance_of_exact(dtype):
 
 def test_fast_reassembly_repeats_bit_for_bit():
     _repeats_bit_for_bit(_reassembly_cases(np.float64))
+
+
+def _down_cases():
+    """(x shape, k, sigma): the down shapes of WORKLOAD_REASSEMBLY, then
+    random draws of k 1-7, sigma 1-3, C 1-39 and maps up to 7 x 7."""
+    for shape, direction, k in WORKLOAD_REASSEMBLY:
+        if direction == "down":
+            yield shape, k, 2
+    rng = np.random.default_rng(214)
+    for _ in range(60):
+        yield ((int(rng.integers(1, 3)), int(rng.integers(1, 40)),
+                int(rng.integers(1, 8)), int(rng.integers(1, 8))),
+               int(rng.choice([1, 3, 5, 7])), int(rng.integers(1, 4)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_down_source_gradient_is_one_path_on_both_tiers(dtype):
+    # The down direction's source gradient is the same scatter on both
+    # tiers, so the fast tier's bits are the exact tier's and the loop
+    # twin's, signed zeros included.
+    rng = np.random.default_rng(73)
+    for shape, k, sigma in _down_cases():
+        x, gy, kf, cfg = _reassembly_inputs(rng, shape, "down", k, sigma, dtype)
+        fast = reassemble_backward(gy, x, kf, cfg)[0].data
+        with nn.exact_tier():
+            exact = reassemble_backward(gy, x, kf, cfg)[0].data
+        direct = reference.reassemble_backward_direct(gy, x, kf, cfg)[0]
+        assert fast.dtype == direct.dtype == dtype
+        assert fast.tobytes() == exact.tobytes() == direct.tobytes(), (shape, k, sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -263,31 +305,47 @@ def test_blocked_fast_tier_repeats_bit_for_bit(monkeypatch, block_bytes):
     _repeats_bit_for_bit(convs + reassemblies)
 
 
-def test_fast_reassembly_returns_fresh_arrays_and_leaves_inputs_alone():
-    # At carafe_paper's shapes, up then down, forward then backward: every
-    # result is its own memory, no later call changes one, a second round
-    # repeats the first bit for bit, and no input (the kernel field
-    # included) is written.
+def test_fast_reassembly_returns_fresh_arrays_and_leaves_inputs_alone(monkeypatch):
+    # At every workload shape, in fp64 and fp32, forward then backward:
+    # every result is a C-contiguous NCHW array of x's dtype and its own
+    # memory, no later call changes one, a second round repeats the first
+    # bit for bit, and no input (the kernel field included) is written.
     rng = np.random.default_rng(10)
     calls = []
-    for x_shape, direction, k in WORKLOAD_REASSEMBLY[2:]:
+    for dtype, (x_shape, direction, k) in itertools.product(
+            (np.float64, np.float32), WORKLOAD_REASSEMBLY):
         cfg = CarafeConfig(direction, 2, k_reassembly=k)
+        n, c = x_shape[:2]
         h_out, w_out = cfg.output_hw(*x_shape[2:])
-        logits = Tensor(rng.standard_normal((1, k * k, h_out, w_out)))
-        calls.append((Tensor(rng.uniform(-1, 1, x_shape)),
+        logits = Tensor(rng.standard_normal((n, k * k, h_out, w_out)).astype(dtype))
+        calls.append((Tensor(rng.uniform(-1, 1, x_shape).astype(dtype)),
                       KernelField(nn.softmax_group(logits, k * k), k, True),
-                      Tensor(rng.uniform(-1, 1, (1, x_shape[1], h_out, w_out))),
+                      Tensor(rng.uniform(-1, 1, (n, c, h_out, w_out)).astype(dtype)),
                       cfg))
     inputs = [a.data for x, kf, gy, _ in calls for a in (x, kf.tensor, gy)]
     before = [a.tobytes() for a in inputs]
+    # Tensor copies a strided array into a contiguous one without a word,
+    # so record what reassembly hands it: each result must be that array.
+    handed = []
+
+    def record(data):
+        handed.append(data)
+        return Tensor(data)
+
+    monkeypatch.setattr(reassembly, "Tensor", record)
 
     def run():
         results, snapshots = [], []
         for x, kf, gy, cfg in calls:
-            for out in ([reassemble(x, kf, cfg)],
-                        reassemble_backward(gy, x, kf, cfg)):
-                results += [t.data for t in out]
-                snapshots += [t.data.tobytes() for t in out]
+            handed.clear()
+            y = reassemble(x, kf, cfg)
+            gx, gk = reassemble_backward(gy, x, kf, cfg)
+            assert (y.shape, gx.shape, gk.shape) == (gy.shape, x.shape, kf.tensor.shape)
+            assert all(t.data is a for t, a in zip((y, gx, gk), handed, strict=True))
+            for t in (y, gx, gk):
+                assert t.data.flags.c_contiguous and t.dtype == x.dtype
+                results.append(t.data)
+                snapshots.append(t.data.tobytes())
         return results, snapshots
 
     first, first_bytes = run()
