@@ -20,9 +20,11 @@ nn._gemm_tier from reassembly, so one patch of it sees every decision:
   (_unfold_blocks, shared with reassembly) and takes one GEMM per block
   against the (c_out, k*k*c_in) weight matrix (blocked im2col + GEMM,
   Chellapilla, Puri and Simard 2006); reassembly's tier is described in
-  reassembly.py. Its sums run in BLAS order: it is deterministic run to run
-  in one process, and agrees with the exact tier within the tolerances
-  pinned in tests/test_fast_tier.py, not bitwise.
+  reassembly.py. Its sums run in BLAS order, so its bits repeat at a fixed
+  BLAS thread count but may differ between counts (the input gradient of
+  the conv (1,64,16,16) -> 100, k 3, does between 1 and 2 OpenBLAS
+  threads). It agrees with the exact tier within the tolerances pinned in
+  tests/test_fast_tier.py, not bitwise.
 
 The exact orders are part of the exact tier's contract, and each is stated
 once, at the loop that carries it (reassembly's at reassembly._phase_step):
@@ -289,31 +291,36 @@ def _spans(n: int, hb: int, row_bytes: int) -> list:
             for b in range(n) for i in range(0, hb, rows)]
 
 
-def _unfold_blocks(x: np.ndarray, k: int, step: int, pad: int, hb: int,
-                   wb: int):
-    """(images, rows, windows) of each block of the fast tier's unfold,
-    shared by convolution and reassembly.
-
-    windows is a contiguous (locations, k*k, c) array: for each location
-    (i, j) of the block's rows of the hb x wb grid, the k x k window at
-    (step*i, step*j) of x zero-padded by pad, taps row-major. It is copied
-    from a channels-last copy of the padded x, so every copied run is one
-    window row of c contiguous values, and no unfold of a whole large map is
-    ever held at once. Every block is copied into one buffer, so a caller
-    uses each block's windows before it asks for the next block: a fresh
-    array per block would pay the page faults of fresh memory every time.
-
-    The (n, hb, wb, k, k, c) window view is built over src's buffer
+def _windows(x: np.ndarray, k: int, step: int, pad: int, hb: int,
+             wb: int) -> np.ndarray:
+    """The read-only (n, hb, wb, k, k, c) view of the k x k windows at
+    (step*i, step*j) of the NCHW x zero-padded by pad, over a channels-last
+    copy of the padded x: each window row is k*c contiguous values. The one
+    strided window view of the library, built over the copy's buffer
     directly: sliding_window_view goes through __array_interface__, which
     on a fresh array each call grows the process's memory by about 0.6 MiB
-    over a few thousand calls (gradcheck makes tens of thousands).
-    """
+    over a few thousand calls (gradcheck makes tens of thousands)."""
     n, c, h, w = x.shape
     src = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=x.dtype)
     src[:, pad:pad + h, pad:pad + w] = x.transpose(0, 2, 3, 1)
     sn, sh, sw, sc = src.strides
     win = np.ndarray((n, hb, wb, k, k, c), src.dtype, src, 0,
                      (sn, step * sh, step * sw, sh, sw, sc))
+    win.flags.writeable = False
+    return win
+
+
+def _unfold_blocks(x: np.ndarray, k: int, step: int, pad: int, hb: int,
+                   wb: int):
+    """(images, rows, windows) of each block of the fast tier's unfold,
+    shared by convolution and reassembly: windows is a contiguous
+    (locations, k*k, c) copy of the block's rows of _windows, runs of k*c
+    values, so no unfold of a whole large map is ever held at once. Every
+    block is copied into one buffer, so a caller uses each block's windows
+    before it asks for the next: a fresh array per block would pay the page
+    faults of fresh memory every time."""
+    n, c = x.shape[:2]
+    win = _windows(x, k, step, pad, hb, wb)
     spans = _spans(n, hb, wb * k * k * c * x.itemsize)
     bs, rs = spans[0]
     buf = np.empty(win[bs, rs].size, dtype=x.dtype)
@@ -366,9 +373,10 @@ def _gather_taps(x: np.ndarray, weights: np.ndarray, stride: int, pad: int,
     zero-padded by pad; from zero without a bias.
 
     The one gather fold. Exact tier: per element of out, taps fold in
-    (c, ki, kj) order on top of the bias. Fast tier: one GEMM per block of
-    unfolded windows against the (c_out, k*k*c) weight matrix, then the
-    bias.
+    (c, ki, kj) order on top of the bias, channels-last: each step is one
+    value of the _windows view times a run of c_out weights. Fast tier:
+    one GEMM per block of unfolded windows against the (c_out, k*k*c)
+    weight matrix, then the bias.
     """
     n, c, h, w = x.shape
     c_out, _, k, _ = weights.shape
@@ -378,15 +386,16 @@ def _gather_taps(x: np.ndarray, weights: np.ndarray, stride: int, pad: int,
         if bias is not None:
             out += bias.reshape(1, c_out, 1, 1)
         return out
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    acc = np.zeros((n, c_out, h_out, w_out), dtype=x.dtype)
+    win = _windows(x, k, stride, pad, h_out, w_out)
+    wt = weights.transpose(1, 2, 3, 0)
+    acc = np.zeros((n, h_out, w_out, c_out), dtype=x.dtype)
     if bias is not None:
-        acc[...] = bias.reshape(1, c_out, 1, 1)
+        acc[...] = bias
+    prod = np.empty_like(acc)
     for ch in range(c):
-        for ki, kj, rows, cols in _taps(k, stride, h_out, w_out):
-            w_c = weights[:, ch, ki, kj].reshape(1, -1, 1, 1)
-            acc += w_c * xp[:, ch, rows, cols][:, None]
-    return acc
+        for ki, kj in np.ndindex(k, k):
+            acc += np.multiply(win[:, :, :, ki, kj, ch, None], wt[ch, ki, kj], out=prod)
+    return np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
 
 
 def _scatter_taps(src: np.ndarray, weights: np.ndarray, stride: int, pad: int,
@@ -494,10 +503,7 @@ def conv2d_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
     # im2col row oi: (b, oj, ci*k*k + ki*k + kj) <- x window; last column 1,
     # so grad_bias is the last column of the same fold (go * 1 == go).
     taps = c_in * k * k
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    sn, sc, sh, sw = xp.strides
-    win = np.ndarray((n, h_out, w_out, c_in, k, k), xp.dtype, xp, 0,
-                     (sn, stride * sh, stride * sw, sc, sh, sw))
+    win = _windows(x.data, k, stride, pad, h_out, w_out).transpose(0, 1, 2, 5, 3, 4)
     cols = np.ones((n, w_out, taps + 1), dtype=x.dtype)
     cols_x = cols[:, :, :taps].reshape(n, w_out, c_in, k, k)
     prod = np.empty((n, c_out, taps + 1), dtype=x.dtype)
@@ -594,20 +600,6 @@ def transposed_conv_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
 # depth-to-space
 
 
-def _to_phases(a: np.ndarray, s: int) -> np.ndarray:
-    """Phase-major layout: (n, c, s*h, s*w) -> (n, c, s, s, h, w), with
-    [b, ch, di, dj, i, j] = a[b, ch, s*i + di, s*j + dj]. No copy when s == 1."""
-    n, c, h, w = a.shape
-    y = a.reshape(n, c, h // s, s, w // s, s).transpose(0, 1, 3, 5, 2, 4)
-    return np.ascontiguousarray(y)
-
-
-def _from_phases(a: np.ndarray) -> np.ndarray:
-    """Inverse of _to_phases: (n, c, s, s, h, w) -> (n, c, s*h, s*w)."""
-    n, c, s, _, h, w = a.shape
-    return np.ascontiguousarray(a.transpose(0, 1, 4, 2, 5, 3)).reshape(n, c, s * h, s * w)
-
-
 def pixel_shuffle(x: Tensor, sigma: int) -> Tensor:
     """Depth-to-space: (n, c*s^2, h, w) -> (n, c, s*h, s*w).
 
@@ -619,9 +611,9 @@ def pixel_shuffle(x: Tensor, sigma: int) -> Tensor:
     n, c, h, w = x.shape
     if c % (sigma * sigma) != 0:
         raise ShapeError(f"channels {c} not divisible by sigma^2 = {sigma * sigma}")
-    if sigma == 1:
-        return Tensor(x.data.copy())
-    return Tensor(_from_phases(x.data.reshape(n, c // (sigma * sigma), sigma, sigma, h, w)))
+    c //= sigma * sigma
+    y = x.data.reshape(n, c, sigma, sigma, h, w).transpose(0, 1, 4, 2, 5, 3)
+    return Tensor(y.copy().reshape(n, c, sigma * h, sigma * w))
 
 
 def pixel_unshuffle(x: Tensor, sigma: int) -> Tensor:
@@ -631,10 +623,8 @@ def pixel_unshuffle(x: Tensor, sigma: int) -> Tensor:
     n, c, h, w = x.shape
     if h % sigma != 0 or w % sigma != 0:
         raise ShapeError(f"spatial size ({h},{w}) not divisible by sigma {sigma}")
-    if sigma == 1:
-        return Tensor(x.data.copy())
-    y = _to_phases(x.data, sigma)
-    return Tensor(y.reshape(n, c * sigma * sigma, h // sigma, w // sigma))
+    y = x.data.reshape(n, c, h // sigma, sigma, w // sigma, sigma).transpose(0, 1, 3, 5, 2, 4)
+    return Tensor(y.copy().reshape(n, c * sigma * sigma, h // sigma, w // sigma))
 
 
 # ---------------------------------------------------------------------------

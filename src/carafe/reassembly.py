@@ -22,22 +22,24 @@ accumulation orders of the exact tier, fixed so the vectorized code agrees
 bitwise with the direct loop nests in reference.py, are stated there; the
 sigmoid_norm normalizer's sums are nn._fold's.
 
-Reassembly also has a fast tier, taken where nn._gemm_tier says so, seam
-by seam. The forward and the kernel gradient unfold the source windows
-block by block (nn._unfold_blocks, shared with convolution, about
-nn._BLOCK_BYTES per block) and take one batched matrix product per block:
-per source location, its (c, k^2) windows times its (k^2, ph^2) kernels,
-or its (k^2, c) windows times its (c, ph^2) block of grad_y. The backward
-reads grad_y from one channels-last copy, (ph^2, c) per source location.
-The up direction's source gradient gathers from it, one batched matmul per
-window offset; the down direction's has one phase and scatters it per
-offset, runs of c contiguous values, in the exact fold's order on both
-tiers. The fast tier's sums run in BLAS order, within the tolerances
-pinned in tests/test_fast_tier.py of the exact tier's.
+Reassembly computes channels-last on both tiers: the kernel field and
+grad_y are read from one _channels_last copy each, (n, hb, wb, ph^2, c),
+and the source windows from nn._windows (only the exact kernel gradient,
+a fold over channels, reads channel-major views). The source gradient
+scatters per offset and phase in the exact fold's order (_scatter_source)
+on the exact tier and in the fast down direction; the fast up direction
+gathers (_gather_source). Where nn._gemm_tier says so, seam by seam, the
+forward and the kernel gradient take one batched matrix product per block
+of unfolded windows (nn._unfold_blocks, shared with convolution): per
+source location, its (c, k^2) windows times its (k^2, ph^2) kernels,
+written into the NCHW output block by block, or its (ph^2, c) block of
+grad_y times its (c, k^2) windows. The fast tier's sums run in BLAS order,
+within the tolerances pinned in tests/test_fast_tier.py of the exact tier's.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -46,11 +48,11 @@ import numpy as np
 from . import nn
 from .errors import (ContractError, DTypeError, GeometryError,
                      KernelSizeError, ShapeError)
-from .nn import (AffineNormParams, ConvLayerParams, _fold, _from_phases,
-                 _taps, _to_phases, affine_norm, affine_norm_backward,
-                 affine_params, conv2d_backward, conv2d_forward, conv_params,
-                 pixel_shuffle, pixel_unshuffle, relu, relu_backward,
-                 sigmoid_array, softmax_group, softmax_group_backward)
+from .nn import (AffineNormParams, ConvLayerParams, _fold, _taps, affine_norm,
+                 affine_norm_backward, affine_params, conv2d_backward,
+                 conv2d_forward, conv_params, pixel_shuffle, pixel_unshuffle,
+                 relu, relu_backward, sigmoid_array, softmax_group,
+                 softmax_group_backward)
 from .tensor import Tensor
 
 DIRECTIONS = ("down", "up")
@@ -79,16 +81,24 @@ class CarafeConfig:
     def __post_init__(self):
         if self.direction not in DIRECTIONS:
             raise GeometryError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
-        if not isinstance(self.sigma, int) or isinstance(self.sigma, bool):
-            raise GeometryError(f"sigma must be an integer, got {self.sigma!r}")
+        if self.c_mid is None:
+            object.__setattr__(self, "c_mid", _C_MID_DEFAULT[self.direction])
+        for name, error in (("sigma", GeometryError), ("k_encoder", KernelSizeError),
+                            ("k_reassembly", KernelSizeError), ("c_mid", ContractError)):
+            # What operator.index takes, but a bool; stored as a Python int.
+            value = getattr(self, name)
+            try:
+                if isinstance(value, (bool, np.bool_)):
+                    raise TypeError
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise error(f"{name} must be an integer, got {value!r}") from None
         if self.sigma < 1:
             raise GeometryError(f"sigma must be >= 1, got {self.sigma}")
         for name in ("k_encoder", "k_reassembly"):
             k = getattr(self, name)
-            if not isinstance(k, int) or k < 1 or k % 2 == 0:
+            if k < 1 or k % 2 == 0:
                 raise KernelSizeError(f"{name} must be odd and >= 1, got {k}")
-        if self.c_mid is None:
-            object.__setattr__(self, "c_mid", _C_MID_DEFAULT[self.direction])
         if self.c_mid < 1:
             raise ContractError(f"c_mid must be >= 1, got {self.c_mid}")
         if self.normalizer not in NORMALIZERS:
@@ -316,10 +326,10 @@ def _phase_step(cfg: CarafeConfig) -> tuple[int, int]:
 
     The same pair drives kernel prediction: the encoder conv strides by step
     and its output is pixel-shuffled by ph. Reassembly lays the kernel field,
-    output and grad_y out phase-major, (n, c, ph, ph, H_out/ph, W_out/ph) as
-    in pixel_unshuffle, so for each window offset one strided view of the
-    padded source feeds every phase. The exact tier's folds, each per
-    element from zero:
+    output and grad_y out channels-last, (n, H_out/ph, W_out/ph, ph*ph, c)
+    with target (ph*i + di, ph*j + dj) at phase di*ph + dj (_channels_last),
+    so each window offset of the source (nn._windows) feeds every phase of
+    its location. The exact tier's folds, each per element from zero:
     - reassemble: offsets in ascending q (dn outer, dm inner);
     - reassemble_backward, source gradient: offsets in ascending q and,
       inside one offset, phases (di, dj) row-major;
@@ -338,26 +348,27 @@ def reassemble(x: Tensor, kf: KernelField, cfg: CarafeConfig,
     kf[b, q, i', j'] * x[b, c, i + dn, j + dm], with (i, j) the mapped source
     location, q = (dn+r)*k + (dm+r), zero padding off the edges; fold order
     at _phase_step. The fast tier takes one batched matrix product per block
-    of unfolded windows instead (nn._unfold_blocks).
+    of unfolded windows instead (nn._unfold_blocks) and writes each block
+    straight into the NCHW output.
     """
     _check_reassemble_args(x, kf, cfg, allow_unnormalized)
     n, c, _, _ = x.shape
     k = cfg.k_reassembly
-    r = k // 2
     ph, step = _phase_step(cfg)
-    kd = _to_phases(kf.tensor.data, ph)
-    hb, wb = kd.shape[4:]
+    kl = _channels_last(kf.tensor.data, ph)
+    hb, wb = kl.shape[1:3]
     if nn._gemm_tier(k * k):
         out = np.empty((n, c, hb, ph, wb, ph), dtype=x.dtype)
-        for bs, rs, win in nn._unfold_blocks(x.data, k, step, r, hb, wb):
-            _put_location_major(out[bs, :, rs],
-                                win.transpose(0, 2, 1) @ _location_major(kd[bs, ..., rs, :]))
+        for bs, rs, win in nn._unfold_blocks(x.data, k, step, k // 2, hb, wb):
+            kb = kl[bs, rs].reshape(-1, ph * ph, k * k).swapaxes(-1, -2)
+            _put_location_major(out[bs, :, rs], win.transpose(0, 2, 1) @ kb)
         return Tensor(out.reshape(n, c, ph * hb, ph * wb))
-    xp = np.pad(x.data, ((0, 0), (0, 0), (r, r), (r, r)))
-    out = np.zeros((n, c) + kd.shape[2:], dtype=x.dtype)
-    for q, (_, _, rows, cols) in enumerate(_taps(k, step, hb, wb)):
-        out += kd[:, q][:, None] * xp[:, :, None, None, rows, cols]
-    return Tensor(_from_phases(out))
+    win = nn._windows(x.data, k, step, k // 2, hb, wb)
+    out = np.zeros((n, hb, wb, ph * ph, c), dtype=x.dtype)
+    prod = np.empty_like(out)
+    for q, (ki, kj) in enumerate(np.ndindex(k, k)):
+        out += np.multiply(kl[..., q, None], win[:, :, :, None, ki, kj], out=prod)
+    return Tensor(_nchw(out, ph))
 
 
 def reassemble_backward(grad_y: Tensor, x: Tensor, kf: KernelField,
@@ -365,13 +376,13 @@ def reassemble_backward(grad_y: Tensor, x: Tensor, kf: KernelField,
                         ) -> tuple[Tensor, Tensor]:
     """Adjoint of reassemble: grads wrt the source map and the kernel field.
 
-    Each phase of the source scatter writes one strided block; the kernel
-    gradient loops over channels once, each step covering every offset and
-    phase. Fold orders at _phase_step. The down direction's source gradient
-    is one channels-last scatter per offset on both tiers (_scatter_source).
-    The fast tier gathers the up direction's (_gather_source) and takes the
-    kernel gradient as one batched matrix product per block of unfolded
-    windows, both reading grad_y from one _channels_last copy.
+    grad_y and the kernel field are read from one _channels_last copy each.
+    The source gradient scatters per offset and phase (_scatter_source),
+    but on the fast tier's up direction, which gathers (_gather_source).
+    The exact kernel gradient loops over channels once, each step covering
+    every offset and phase, on channel-major views of the windows and of
+    grad_y; the fast tier takes one batched matrix product per block of
+    unfolded windows into a channels-last result. Fold orders at _phase_step.
     """
     _check_reassemble_args(x, kf, cfg, allow_unnormalized)
     n, c, h, w = x.shape
@@ -382,44 +393,35 @@ def reassemble_backward(grad_y: Tensor, x: Tensor, kf: KernelField,
     if grad_y.dtype != x.dtype:
         raise DTypeError(f"dtype mismatch: grad {grad_y.dtype} vs input {x.dtype}")
     k = cfg.k_reassembly
-    r = k // 2
     ph, step = _phase_step(cfg)
-    hb, wb = h_out // ph, w_out // ph
-    gather = ph > 1 and nn._gemm_tier(ph * ph)
-    fast_gk = nn._gemm_tier(c)
     gl = _channels_last(grad_y.data, ph)
-    go = None if gather and fast_gk else _to_phases(grad_y.data, ph)
-    if ph == 1:
-        grad_x = _scatter_source(gl[:, :, :, 0], kf.tensor.data, k, step, h, w)
-    elif gather:
-        grad_x = _gather_source(gl, _channels_last(kf.tensor.data, ph), k)
+    kl = _channels_last(kf.tensor.data, ph)
+    if nn._gemm_tier(ph * ph):
+        grad_x = _gather_source(gl, kl, k)
     else:
-        kd = _to_phases(kf.tensor.data, ph)
-        gxp = np.zeros((n, c, h + 2 * r, w + 2 * r), dtype=x.dtype)
-        for q, (_, _, rows, cols) in enumerate(_taps(k, step, hb, wb)):
-            for di in range(ph):
-                for dj in range(ph):
-                    gxp[:, :, rows, cols] += kd[:, q, di, dj][:, None] * go[:, :, di, dj]
-        grad_x = gxp[:, :, r:r + h, r:r + w].copy() if r else gxp
-    if fast_gk:
-        gk = np.empty((n, k * k, hb, ph, wb, ph), dtype=x.dtype)
-        for bs, rs, win in nn._unfold_blocks(x.data, k, step, r, hb, wb):
+        grad_x = _scatter_source(gl, kl, k, step, h, w)
+    hb, wb = gl.shape[1:3]
+    if nn._gemm_tier(c):
+        gk = np.empty((n, hb, wb, ph * ph, k * k), dtype=x.dtype)
+        for bs, rs, win in nn._unfold_blocks(x.data, k, step, k // 2, hb, wb):
             g = gl[bs, rs]
-            _put_location_major(gk[bs, :, rs], win.reshape(*g.shape[:3], k * k, c)
-                                @ g.swapaxes(-1, -2))
-        gk = gk.reshape(kf.tensor.shape)
+            np.matmul(g, win.reshape(*g.shape[:3], k * k, c).swapaxes(-1, -2),
+                      out=gk[bs, rs])
+        gk = _nchw(gk, ph)
     else:
-        # Source window of every offset at once: (n, c, k, k, 1, 1, hb, wb),
-        # a view over xp's buffer as in nn._unfold_blocks.
-        xp = np.pad(x.data, ((0, 0), (0, 0), (r, r), (r, r)))
-        sn, sc, sh, sw = xp.strides
-        xs = np.ndarray((n, c, k, k, 1, 1, hb, wb), xp.dtype, xp, 0,
-                        (sn, sc, sh, sw, 0, 0, step * sh, step * sw))
-        acc = np.zeros((n, k, k, ph, ph, hb, wb), dtype=x.dtype)
+        # Channel-major views, whose channel slices read contiguous runs:
+        # windows (c, n, k, k, hb, wb) of x with its first two axes swapped,
+        # and grad_y as (c, n, ph, ph, hb, wb).
+        win = nn._windows(x.data.transpose(1, 0, 2, 3), k, step, k // 2, hb,
+                          wb).transpose(0, 5, 3, 4, 1, 2)
+        gc = grad_y.data.reshape(n, c, hb, ph, wb, ph).transpose(1, 0, 3, 5, 2, 4)
+        acc = np.zeros((n, ph, ph, k, k, hb, wb), dtype=x.dtype)
         prod = np.empty_like(acc)
         for ch in range(c):
-            acc += np.multiply(go[:, None, None, ch], xs[:, ch], out=prod)
-        gk = _from_phases(acc.reshape(n, k * k, ph, ph, hb, wb))
+            acc += np.multiply(gc[ch, :, :, :, None, None], win[ch, :, None, None],
+                               out=prod)
+        gk = np.ascontiguousarray(acc.transpose(0, 3, 4, 5, 1, 6, 2)).reshape(
+            kf.tensor.shape)
     return Tensor(grad_x), Tensor(gk)
 
 
@@ -433,19 +435,31 @@ def _channels_last(a: np.ndarray, ph: int) -> np.ndarray:
         0, 2, 4, 3, 5, 1)).reshape(n, hb, wb, ph * ph, c)
 
 
-def _scatter_source(g: np.ndarray, kd: np.ndarray, k: int, step: int, h: int,
+def _nchw(a: np.ndarray, ph: int) -> np.ndarray:
+    """Inverse of _channels_last: (n, hb, wb, ph*ph, c) -> contiguous
+    (n, c, ph*hb, ph*wb)."""
+    n, hb, wb, _, c = a.shape
+    return np.ascontiguousarray(a.reshape(n, hb, wb, ph, ph, c).transpose(
+        0, 5, 1, 3, 2, 4)).reshape(n, c, ph * hb, ph * wb)
+
+
+def _scatter_source(gl: np.ndarray, kl: np.ndarray, k: int, step: int, h: int,
                     w: int) -> np.ndarray:
-    """Source gradient of one phase, on both tiers: per offset in ascending
-    q, the (n, hb, wb, c) channels-last grad_y g times that offset's
-    (n, k*k, hb, wb) kernel weights, added into the offset's strided window
-    of a padded channels-last map, every run c contiguous values. Each
-    element sums in the exact tier's order (_phase_step)."""
-    n, hb, wb, c = g.shape
+    """Source gradient by scatter, the exact tier's in both directions and
+    the fast tier's down: per offset in ascending q, then per phase
+    row-major, that phase's (n, hb, wb, c) block of grad_y times that
+    offset's and phase's kernel weights, added into the offset's strided
+    window of a padded channels-last map, every run c contiguous values.
+    Each element sums in the exact tier's order (_phase_step). gl and kl
+    are the _channels_last copies of grad_y and of the kernel field."""
+    n, hb, wb, phases, c = gl.shape
     r = k // 2
-    gxp = np.zeros((n, h + 2 * r, w + 2 * r, c), dtype=g.dtype)
-    prod = np.empty_like(g)
+    gxp = np.zeros((n, h + 2 * r, w + 2 * r, c), dtype=gl.dtype)
+    prod = np.empty((n, hb, wb, c), dtype=gl.dtype)
     for q, (_, _, rows, cols) in enumerate(_taps(k, step, hb, wb)):
-        gxp[:, rows, cols] += np.multiply(kd[:, q, :, :, None], g, out=prod)
+        for p in range(phases):
+            gxp[:, rows, cols] += np.multiply(kl[:, :, :, p, q, None],
+                                              gl[:, :, :, p], out=prod)
     return np.ascontiguousarray(gxp[:, r:r + h, r:r + w].transpose(0, 3, 1, 2))
 
 
@@ -473,13 +487,6 @@ def _overlap(d: int, size: int) -> tuple[slice, slice]:
     reaches source i + d, and both must lie in [0, size)."""
     return (slice(max(0, d), max(0, min(size, size + d))),
             slice(max(0, -d), max(0, min(size, size - d))))
-
-
-def _location_major(a: np.ndarray) -> np.ndarray:
-    """A block of a phase-major array, (nb, c, ph, ph, rb, wb) -> contiguous
-    (nb*rb*wb, c, ph*ph): one (c, ph*ph) matrix per source location."""
-    c, ph = a.shape[1], a.shape[2]
-    return np.ascontiguousarray(a.transpose(0, 4, 5, 1, 2, 3)).reshape(-1, c, ph * ph)
 
 
 def _put_location_major(dst: np.ndarray, prod: np.ndarray) -> None:

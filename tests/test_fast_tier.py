@@ -1,10 +1,10 @@
 """Gates of the fast tier: convolution and reassembly by one GEMM (a
 batched one, for reassembly) per block of unfolded windows, the blocks
-coming from nn._unfold_blocks; the up direction's reassembly source
-gradient gathers from a channels-last copy of grad_y, one batched matmul
-per window offset. The down direction's source gradient has no fast tier:
-both tiers run one channels-last scatter, gated here to be the same bits
-as the loop twin.
+coming from nn._unfold_blocks; reassembly computes channels-last on both
+tiers, and the up direction's source gradient gathers from a channels-last
+copy of grad_y, one batched matmul per window offset. The source
+gradient's scatter, which the exact tier runs in both directions and the
+fast tier in the down direction, is gated here to be the loop twin's bits.
 
 The fast tier sums in BLAS order, so it is held to a tolerance against the
 exact tier rather than to bits: per result array, max|fast - exact| /
@@ -221,11 +221,11 @@ def test_fast_reassembly_repeats_bit_for_bit():
     _repeats_bit_for_bit(_reassembly_cases(np.float64))
 
 
-def _down_cases():
-    """(x shape, k, sigma): the down shapes of WORKLOAD_REASSEMBLY, then
-    random draws of k 1-7, sigma 1-3, C 1-39 and maps up to 7 x 7."""
-    for shape, direction, k in WORKLOAD_REASSEMBLY:
-        if direction == "down":
+def _scatter_cases(direction):
+    """(x shape, k, sigma): the shapes of WORKLOAD_REASSEMBLY in direction,
+    then random draws of k 1-7, sigma 1-3, C 1-39 and maps up to 7 x 7."""
+    for shape, d, k in WORKLOAD_REASSEMBLY:
+        if d == direction:
             yield shape, k, 2
     rng = np.random.default_rng(214)
     for _ in range(60):
@@ -235,19 +235,23 @@ def _down_cases():
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_down_source_gradient_is_one_path_on_both_tiers(dtype):
-    # The down direction's source gradient is the same scatter on both
-    # tiers, so the fast tier's bits are the exact tier's and the loop
-    # twin's, signed zeros included.
+@pytest.mark.parametrize("direction", ["down", "up"])
+def test_source_gradient_scatter_keeps_the_loop_twins_bits(direction, dtype):
+    # The exact tier's source gradient is one scatter in both directions, so
+    # its bits are the loop twin's, signed zeros included. The down
+    # direction runs the same scatter on the fast tier too; the fast up
+    # direction gathers instead and is held to REASSEMBLY_TOL above.
     rng = np.random.default_rng(73)
-    for shape, k, sigma in _down_cases():
-        x, gy, kf, cfg = _reassembly_inputs(rng, shape, "down", k, sigma, dtype)
-        fast = reassemble_backward(gy, x, kf, cfg)[0].data
+    for shape, k, sigma in _scatter_cases(direction):
+        x, gy, kf, cfg = _reassembly_inputs(rng, shape, direction, k, sigma, dtype)
         with nn.exact_tier():
             exact = reassemble_backward(gy, x, kf, cfg)[0].data
         direct = reference.reassemble_backward_direct(gy, x, kf, cfg)[0]
-        assert fast.dtype == direct.dtype == dtype
-        assert fast.tobytes() == exact.tobytes() == direct.tobytes(), (shape, k, sigma)
+        assert exact.dtype == direct.dtype == dtype
+        assert exact.tobytes() == direct.tobytes(), (shape, k, sigma)
+        if direction == "down":
+            fast = reassemble_backward(gy, x, kf, cfg)[0].data
+            assert fast.tobytes() == exact.tobytes(), (shape, k, sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,27 @@ class TestConfig:
         with pytest.raises(KernelSizeError):
             CarafeConfig("down", 2, k_encoder=k)
 
+    @pytest.mark.parametrize("name, value, error", [
+        ("sigma", 2.0, GeometryError), ("sigma", np.True_, GeometryError),
+        ("k_encoder", True, KernelSizeError), ("k_encoder", 3.0, KernelSizeError),
+        ("k_reassembly", np.float64(3), KernelSizeError),
+        ("c_mid", 2.0, ContractError), ("c_mid", "4", ContractError),
+        ("c_mid", False, ContractError)])
+    def test_integer_fields_reject_non_integers(self, name, value, error):
+        # Each with its own error type, before any numpy call sees the value.
+        with pytest.raises(error, match=f"{name} must be an integer"):
+            CarafeConfig(**{"direction": "down", "sigma": 2, name: value})
+
+    def test_integer_fields_accept_numpy_integers_as_python_ints(self):
+        cfg = CarafeConfig("up", np.int64(2), k_encoder=np.int32(3),
+                           k_reassembly=np.int64(3), c_mid=np.uint8(4))
+        assert [(type(v), v) for v in (cfg.sigma, cfg.k_encoder,
+                                       cfg.k_reassembly, cfg.c_mid)] == [
+            (int, 2), (int, 3), (int, 3), (int, 4)]
+        assert cfg == CarafeConfig("up", 2, k_reassembly=3, c_mid=4)
+        params = carafe_params(2, cfg, np.random.default_rng(0))
+        assert params.encoder.weights.shape == (4 * 9, 4, 3, 3)
+
     def test_normalizer_validation(self):
         with pytest.raises(ValueError):
             CarafeConfig("down", 2, normalizer="l2")
