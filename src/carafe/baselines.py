@@ -29,7 +29,7 @@ from .nn import (ConvLayerParams, _fold, _taps, conv2d_backward,
                  conv2d_forward, conv_params, sigmoid_array,
                  transposed_conv_backward, transposed_conv_forward,
                  transposed_conv_params)
-from .reassembly import CarafeConfig
+from .reassembly import CarafeConfig, _integer
 from .tensor import Tensor
 
 
@@ -314,7 +314,8 @@ def make_resample_op(kind: str, sigma: int, channels: int | None = None,
                      dtype=np.float64, direction: str | None = None) -> ResampleOp:
     """Build one roster entry; learned kinds need channels (rng optional)."""
     spec = _kind(kind)
-    if not isinstance(sigma, int) or sigma < 1:
+    sigma = _integer("sigma", sigma, GeometryError)
+    if sigma < 1:
         raise GeometryError(f"sigma must be an integer >= 1, got {sigma!r}")
     inferred = spec.direction
     if inferred is None:

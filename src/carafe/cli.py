@@ -116,7 +116,8 @@ _FLAGS = {
     "config": dict(help="JSON config file; flags override it"),
     "seed": dict(type=int, help="base RNG seed"),
     "threads": dict(type=int,
-                    help="worker threads (default: $CARAFE_THREADS or 1)"),
+                    help="sweep worker threads; the other commands check and "
+                         "record it only (default: $CARAFE_THREADS or 1)"),
     "out": dict(help="output directory for reports"),
 }
 # Every subcommand ends with --config and then these flags.

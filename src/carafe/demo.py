@@ -25,8 +25,8 @@ from .baselines import (ALL_KINDS, make_resample_op, resample_backward,
 from .errors import ContractError, GeometryError, ShapeError, TrainingDiverged
 from .nn import (conv2d_backward, conv2d_forward, conv_params, relu,
                  relu_backward, sgd_step, sigmoid_array)
-from .reassembly import (CarafeConfig, carafe_backward, carafe_forward,
-                         carafe_params)
+from .reassembly import (CarafeConfig, _integer, carafe_backward,
+                         carafe_forward, carafe_params)
 from .tensor import Tensor
 
 TASK_KINDS = ("super_res", "inpaint", "seg2")
@@ -46,6 +46,8 @@ class ToyTask:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ContractError(f"task kind must be one of {TASK_KINDS}, got {self.kind!r}")
+        object.__setattr__(self, "size", _integer("task size", self.size, GeometryError))
+        object.__setattr__(self, "sigma", _integer("sigma", self.sigma, GeometryError))
         if self.size < 4:
             raise GeometryError(f"task size must be >= 4, got {self.size}")
         if self.sigma < 1:

@@ -25,16 +25,18 @@ sigmoid_norm normalizer's sums are nn._fold's.
 Reassembly computes channels-last on both tiers: the kernel field and
 grad_y are read from one _channels_last copy each, (n, hb, wb, ph^2, c),
 and the source windows from nn._windows (only the exact kernel gradient,
-a fold over channels, reads channel-major views). The source gradient
-scatters per offset and phase in the exact fold's order (_scatter_source)
-on the exact tier and in the fast down direction; the fast up direction
-gathers (_gather_source). Where nn._gemm_tier says so, seam by seam, the
-forward and the kernel gradient take one batched matrix product per block
-of unfolded windows (nn._unfold_blocks, shared with convolution): per
-source location, its (c, k^2) windows times its (k^2, ph^2) kernels,
-written into the NCHW output block by block, or its (ph^2, c) block of
-grad_y times its (c, k^2) windows. The fast tier's sums run in BLAS order,
-within the tolerances pinned in tests/test_fast_tier.py of the exact tier's.
+a fold over channels, reads channel-major views). The source gradient is
+one function on both tiers and in both directions (_source_gradient): per
+offset, each location adds its kernel weights times its block of grad_y
+into the one source it reaches, phase by phase on the exact tier, by one
+batched matmul over the phases on the fast. Where nn._gemm_tier says so,
+seam by seam, the forward and the kernel gradient take one batched matrix
+product per block of unfolded windows (nn._unfold_blocks, shared with
+convolution): per source location, its (c, k^2) windows times its
+(k^2, ph^2) kernels, written into the NCHW output block by block, or its
+(ph^2, c) block of grad_y times its (c, k^2) windows. The fast tier's sums
+run in BLAS order, within the tolerances pinned in tests/test_fast_tier.py
+of the exact tier's.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import numpy as np
 from . import nn
 from .errors import (ContractError, DTypeError, GeometryError,
                      KernelSizeError, ShapeError)
-from .nn import (AffineNormParams, ConvLayerParams, _fold, _taps, affine_norm,
+from .nn import (AffineNormParams, ConvLayerParams, _fold, affine_norm,
                  affine_norm_backward, affine_params, conv2d_backward,
                  conv2d_forward, conv_params, pixel_shuffle, pixel_unshuffle,
                  relu, relu_backward, sigmoid_array, softmax_group,
@@ -60,6 +62,17 @@ NORMALIZERS = ("softmax", "sigmoid", "sigmoid_norm")
 
 _C_MID_DEFAULT = {"down": 16, "up": 64}
 _COMPRESSOR_NORM_DEFAULT = {"down": True, "up": False}
+
+
+def _integer(name: str, value, error: type) -> int:
+    """value as a Python int: what operator.index takes, but a bool. Else
+    error, so every geometry integer is rejected before numpy sees it."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -85,14 +98,7 @@ class CarafeConfig:
             object.__setattr__(self, "c_mid", _C_MID_DEFAULT[self.direction])
         for name, error in (("sigma", GeometryError), ("k_encoder", KernelSizeError),
                             ("k_reassembly", KernelSizeError), ("c_mid", ContractError)):
-            # What operator.index takes, but a bool; stored as a Python int.
-            value = getattr(self, name)
-            try:
-                if isinstance(value, (bool, np.bool_)):
-                    raise TypeError
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise error(f"{name} must be an integer, got {value!r}") from None
+            object.__setattr__(self, name, _integer(name, getattr(self, name), error))
         if self.sigma < 1:
             raise GeometryError(f"sigma must be >= 1, got {self.sigma}")
         for name in ("k_encoder", "k_reassembly"):
@@ -138,6 +144,7 @@ class KernelField:
     normalized: bool
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _integer("kernel size", self.k, KernelSizeError))
         if self.k < 1 or self.k % 2 == 0:
             raise KernelSizeError(f"kernel size must be odd and >= 1, got {self.k}")
         if self.tensor.shape[1] != self.k * self.k:
@@ -377,12 +384,11 @@ def reassemble_backward(grad_y: Tensor, x: Tensor, kf: KernelField,
     """Adjoint of reassemble: grads wrt the source map and the kernel field.
 
     grad_y and the kernel field are read from one _channels_last copy each.
-    The source gradient scatters per offset and phase (_scatter_source),
-    but on the fast tier's up direction, which gathers (_gather_source).
-    The exact kernel gradient loops over channels once, each step covering
-    every offset and phase, on channel-major views of the windows and of
-    grad_y; the fast tier takes one batched matrix product per block of
-    unfolded windows into a channels-last result. Fold orders at _phase_step.
+    The source gradient is _source_gradient's on both tiers. The exact
+    kernel gradient loops over channels once, each step covering every
+    offset and phase, on channel-major views of the windows and of grad_y;
+    the fast tier takes one batched matrix product per block of unfolded
+    windows into a channels-last result. Fold orders at _phase_step.
     """
     _check_reassemble_args(x, kf, cfg, allow_unnormalized)
     n, c, h, w = x.shape
@@ -396,10 +402,7 @@ def reassemble_backward(grad_y: Tensor, x: Tensor, kf: KernelField,
     ph, step = _phase_step(cfg)
     gl = _channels_last(grad_y.data, ph)
     kl = _channels_last(kf.tensor.data, ph)
-    if nn._gemm_tier(ph * ph):
-        grad_x = _gather_source(gl, kl, k)
-    else:
-        grad_x = _scatter_source(gl, kl, k, step, h, w)
+    grad_x = _source_gradient(gl, kl, k, step, h, w)
     hb, wb = gl.shape[1:3]
     if nn._gemm_tier(c):
         gk = np.empty((n, hb, wb, ph * ph, k * k), dtype=x.dtype)
@@ -443,50 +446,39 @@ def _nchw(a: np.ndarray, ph: int) -> np.ndarray:
         0, 5, 1, 3, 2, 4)).reshape(n, c, ph * hb, ph * wb)
 
 
-def _scatter_source(gl: np.ndarray, kl: np.ndarray, k: int, step: int, h: int,
-                    w: int) -> np.ndarray:
-    """Source gradient by scatter, the exact tier's in both directions and
-    the fast tier's down: per offset in ascending q, then per phase
-    row-major, that phase's (n, hb, wb, c) block of grad_y times that
-    offset's and phase's kernel weights, added into the offset's strided
-    window of a padded channels-last map, every run c contiguous values.
-    Each element sums in the exact tier's order (_phase_step). gl and kl
+def _source_gradient(gl: np.ndarray, kl: np.ndarray, k: int, step: int, h: int,
+                     w: int) -> np.ndarray:
+    """Adjoint of reassemble's window sum wrt x: per offset in ascending q,
+    each location whose window reaches the map through it adds its kernel
+    weights times its (ph*ph, c) block of grad_y into the source it reaches
+    (_span), in an unpadded channels-last map. The exact tier adds the
+    phases one at a time, row-major (_phase_step's order); where
+    nn._gemm_tier says so, one batched (1, ph*ph) x (ph*ph, c) matmul per
+    offset contracts them. Every product goes through one buffer. gl and kl
     are the _channels_last copies of grad_y and of the kernel field."""
     n, hb, wb, phases, c = gl.shape
-    r = k // 2
-    gxp = np.zeros((n, h + 2 * r, w + 2 * r, c), dtype=gl.dtype)
-    prod = np.empty((n, hb, wb, c), dtype=gl.dtype)
-    for q, (_, _, rows, cols) in enumerate(_taps(k, step, hb, wb)):
-        for p in range(phases):
-            gxp[:, rows, cols] += np.multiply(kl[:, :, :, p, q, None],
-                                              gl[:, :, :, p], out=prod)
-    return np.ascontiguousarray(gxp[:, r:r + h, r:r + w].transpose(0, 3, 1, 2))
-
-
-def _gather_source(gl: np.ndarray, kl: np.ndarray, k: int) -> np.ndarray:
-    """Fast-tier source gradient of the up direction, as a gather: per window
-    offset, one batched matmul gives every source location (i, j) the
-    (1, ph*ph) kernel weights of that offset times the (ph*ph, c) grad_y
-    block of the location whose window reaches (i, j) through it, over the
-    locations where both lie inside the map. gl and kl are the
-    _channels_last copies of grad_y and of the kernel field."""
-    n, h, w, _, c = gl.shape
-    acc = np.zeros((n, h, w, 1, c), dtype=gl.dtype)
-    prod = np.empty_like(acc)
+    gx = np.zeros((n, h, w, 1, c), dtype=gl.dtype)
+    buf = np.empty(n * hb * wb * c, dtype=gl.dtype)
+    gemm = nn._gemm_tier(phases)
     for q, (dn, dm) in enumerate(kernel_offsets(k)):
-        src_i, loc_i = _overlap(dn, h)
-        src_j, loc_j = _overlap(dm, w)
-        g = gl[:, loc_i, loc_j]
-        acc[:, src_i, src_j] += np.matmul(kl[:, loc_i, loc_j, None, :, q], g,
-                                          out=prod[:, :g.shape[1], :g.shape[2]])
-    return np.ascontiguousarray(acc[:, :, :, 0].transpose(0, 3, 1, 2))
+        loc_i, src_i = _span(dn, step, hb, h)
+        loc_j, src_j = _span(dm, step, wb, w)
+        g, kq, dst = gl[:, loc_i, loc_j], kl[:, loc_i, loc_j, :, q], gx[:, src_i, src_j]
+        prod = buf[:dst.size].reshape(dst.shape)
+        if gemm:
+            dst += np.matmul(kq[..., None, :], g, out=prod)
+        else:
+            for p in range(phases):
+                dst += np.multiply(kq[..., p, None, None], g[..., p, None, :], out=prod)
+    return np.ascontiguousarray(gx[..., 0, :].transpose(0, 3, 1, 2))
 
 
-def _overlap(d: int, size: int) -> tuple[slice, slice]:
-    """(sources, locations) along one axis of length size: location i
-    reaches source i + d, and both must lie in [0, size)."""
-    return (slice(max(0, d), max(0, min(size, size + d))),
-            slice(max(0, -d), max(0, min(size, size - d))))
+def _span(d: int, step: int, count: int, size: int) -> tuple[slice, slice]:
+    """(locations, sources) along one axis: location i in [0, count) reaches
+    source step*i + d, which must lie in [0, size)."""
+    lo = max(0, -(d // step))
+    hi = max(lo, min(count, -((d - size) // step)))
+    return slice(lo, hi), slice(step * lo + d, step * hi + d, step)
 
 
 def _put_location_major(dst: np.ndarray, prod: np.ndarray) -> None:

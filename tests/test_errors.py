@@ -13,7 +13,8 @@ from carafe.demo import (SlotSpec, ToyTask, build_net, compare_operators,
                          make_dataset, seeded_net, train)
 from carafe.errors import CarafeError
 from carafe.gradcheck import finite_diff_array
-from carafe.reassembly import CarafeConfig
+from carafe.reassembly import CarafeConfig, KernelField
+from carafe.tensor import Tensor
 
 
 _TASK = ToyTask("super_res", size=8)
@@ -29,7 +30,15 @@ REJECTIONS = {
     "resample_wrong_direction": lambda: make_resample_op(
         "nearest_up", 2, direction="down"),
     "resample_no_channels": lambda: make_resample_op("strided_conv", 2),
+    "resample_sigma_bool": lambda: make_resample_op("nearest_up", True),
     "task_kind": lambda: ToyTask("colorize"),
+    "task_sigma_float": lambda: ToyTask("super_res", sigma=2.0),
+    "task_size_float": lambda: ToyTask("super_res", size=16.0),
+    "task_sigma_bool": lambda: ToyTask("super_res", sigma=True),
+    "kernel_field_k_float": lambda: KernelField(Tensor(np.zeros((1, 9, 2, 2))),
+                                                3.0, True),
+    "kernel_field_k_bool": lambda: KernelField(Tensor(np.zeros((1, 1, 2, 2))),
+                                               True, True),
     "dataset_count": lambda: make_dataset(_TASK, 0),
     "net_arch": lambda: build_net("autoencoder", SlotSpec("nearest_up"), 4, 2,
                                   np.random.default_rng(0),
@@ -49,3 +58,8 @@ def test_rejection_is_a_carafe_value_error(site):
     with pytest.raises(CarafeError) as exc:
         REJECTIONS[site]()
     assert isinstance(exc.value, ValueError)
+
+
+def test_numpy_integer_sigma_is_stored_as_a_python_int():
+    op = make_resample_op("nearest_up", np.int64(2))
+    assert type(op.sigma) is int and op.sigma == 2

@@ -1,10 +1,11 @@
 """Gates of the fast tier: convolution and reassembly by one GEMM (a
 batched one, for reassembly) per block of unfolded windows, the blocks
 coming from nn._unfold_blocks; reassembly computes channels-last on both
-tiers, and the up direction's source gradient gathers from a channels-last
-copy of grad_y, one batched matmul per window offset. The source
-gradient's scatter, which the exact tier runs in both directions and the
-fast tier in the down direction, is gated here to be the loop twin's bits.
+tiers. The source gradient is one function on both tiers: per window
+offset, the exact tier adds the phases one at a time and the fast tier
+contracts them by one batched matmul. Its exact bits, and the fast down
+direction's (one phase, so a single multiply), are gated here to be the
+loop twin's, and the offset spans it adds over to be their definition.
 
 The fast tier sums in BLAS order, so it is held to a tolerance against the
 exact tier rather than to bits: per result array, max|fast - exact| /
@@ -237,10 +238,11 @@ def _scatter_cases(direction):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("direction", ["down", "up"])
 def test_source_gradient_scatter_keeps_the_loop_twins_bits(direction, dtype):
-    # The exact tier's source gradient is one scatter in both directions, so
-    # its bits are the loop twin's, signed zeros included. The down
-    # direction runs the same scatter on the fast tier too; the fast up
-    # direction gathers instead and is held to REASSEMBLY_TOL above.
+    # The exact tier's source gradient adds phase by phase in both
+    # directions, so its bits are the loop twin's, signed zeros included.
+    # The down direction's one phase is a single multiply on the fast tier
+    # too; the fast up direction contracts its phases by matmul and is held
+    # to REASSEMBLY_TOL above.
     rng = np.random.default_rng(73)
     for shape, k, sigma in _scatter_cases(direction):
         x, gy, kf, cfg = _reassembly_inputs(rng, shape, direction, k, sigma, dtype)
@@ -252,6 +254,18 @@ def test_source_gradient_scatter_keeps_the_loop_twins_bits(direction, dtype):
         if direction == "down":
             fast = reassemble_backward(gy, x, kf, cfg)[0].data
             assert fast.tobytes() == exact.tobytes(), (shape, k, sigma)
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_span_is_every_location_whose_source_lies_in_the_map(step):
+    for d, count, size in itertools.product(range(-8, 9), range(8), range(1, 20)):
+        locations, sources = reassembly._span(d, step, count, size)
+        reached = [i for i in range(count) if 0 <= step * i + d < size]
+        assert min(locations.start, locations.stop, sources.start,
+                   sources.stop) >= 0, (d, count, size)
+        assert list(range(count))[locations] == reached, (d, count, size)
+        assert list(range(size))[sources] == [step * i + d for i in reached], (
+            d, count, size)
 
 
 # ---------------------------------------------------------------------------
