@@ -9,7 +9,7 @@ Kinds:
 - nearest_up, bilinear_up: interpolation (half-pixel centers, edges clamped)
 - max_pool, avg_pool: window k = sigma, stride sigma; odd windows are
   centered like the reassembly neighborhoods, even windows anchor top-left;
-  zero padding, and the average always divides by k^2
+  taps off the map count as -inf (max) or 0 (avg, which divides by k^2)
 - strided_conv: 3x3 conv, stride sigma, pad 1
 - transposed_conv: kernel 2*sigma - (sigma mod 2), pad (k - sigma) / 2
 - nearest_plus_conv, bilinear_plus_conv: interpolation then a 3x3 conv
@@ -25,11 +25,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContractError, GeometryError
-from .nn import (ConvLayerParams, _fold, _taps, conv2d_backward,
-                 conv2d_forward, conv_params, sigmoid_array,
+from .nn import (ConvLayerParams, _fold, _integer, _tap_spans,
+                 conv2d_backward, conv2d_forward, conv_params, sigmoid_array,
                  transposed_conv_backward, transposed_conv_forward,
                  transposed_conv_params)
-from .reassembly import CarafeConfig, _integer
+from .reassembly import CarafeConfig
 from .tensor import Tensor
 
 
@@ -100,41 +100,33 @@ def _bilinear_up_adjoint(go: np.ndarray, geom: tuple) -> np.ndarray:
 # pooling helpers
 
 
-def _pool_geometry(h: int, w: int, sigma: int) -> tuple[int, int, int, int]:
-    """(h_out, w_out, pad_lo, pad_hi) of a sigma-window pool, whose output
-    size is the down operator's. Window tap t reads padded row sigma*i + t,
-    so pad_lo = sigma // 2 centers odd windows and pad_lo = 0 anchors even
-    ones top-left."""
+def _pool_taps(h: int, w: int, sigma: int) -> tuple[int, int, list]:
+    """(h_out, w_out, nn._tap_spans) of a sigma-window pool over an h x w
+    map, h_out x w_out the down operator's: odd windows centered (pad
+    sigma // 2), even ones anchored top-left (pad 0)."""
     h_out, w_out = CarafeConfig("down", sigma).output_hw(h, w)
-    pad_lo = sigma // 2 if sigma % 2 else 0
-    pad_hi = max(0, sigma * h_out - h - pad_lo, sigma * w_out - w - pad_lo)
-    return h_out, w_out, pad_lo, pad_hi
-
-
-def _pool_taps(xp: np.ndarray, sig: int, h_out: int, w_out: int):
-    """Strided views of xp, one per window tap, taps in row-major order."""
-    for _, _, rows, cols in _taps(sig, sig, h_out, w_out):
-        yield xp[:, :, rows, cols]
+    pad = sigma // 2 if sigma % 2 else 0
+    return h_out, w_out, _tap_spans(sigma, sigma, pad, h_out, w_out, h, w)
 
 
 def _pool_windows(x: np.ndarray, sig: int, fill: float) -> np.ndarray:
-    """(sig^2, n, c, h_out, w_out): every window tap of x padded with fill."""
-    h_out, w_out, pad_lo, pad_hi = _pool_geometry(x.shape[2], x.shape[3], sig)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad_lo, pad_hi), (pad_lo, pad_hi)),
-                constant_values=fill)
-    return np.stack(list(_pool_taps(xp, sig, h_out, w_out)), axis=0)
+    """(sig^2, n, c, h_out, w_out): every window tap of x, fill where a tap
+    falls off the map."""
+    h_out, w_out, taps = _pool_taps(*x.shape[2:], sig)
+    cands = np.full((sig * sig, *x.shape[:2], h_out, w_out), fill, dtype=x.dtype)
+    for cand, ((li, ti), (lj, tj)) in zip(cands, taps):
+        cand[:, :, li, lj] = x[:, :, ti, tj]
+    return cands
 
 
 def _pool_adjoint(go: np.ndarray, in_hw: tuple[int, int], sig: int,
                   tap_grads) -> Tensor:
-    """Add the q-th of tap_grads into window tap q of every output; crop."""
-    h, w = in_hw
-    h_out, w_out, pad_lo, pad_hi = _pool_geometry(h, w, sig)
-    gxp = np.zeros((go.shape[0], go.shape[1],
-                    h + pad_lo + pad_hi, w + pad_lo + pad_hi), dtype=go.dtype)
-    for view, g in zip(_pool_taps(gxp, sig, h_out, w_out), tap_grads):
-        view += g
-    return Tensor(gxp[:, :, pad_lo:pad_lo + h, pad_lo:pad_lo + w].copy())
+    """Add the in-map part of the q-th of tap_grads into window tap q of
+    every output."""
+    gx = np.zeros((*go.shape[:2], *in_hw), dtype=go.dtype)
+    for ((li, ti), (lj, tj)), g in zip(_pool_taps(*in_hw, sig)[2], tap_grads):
+        gx[:, :, ti, tj] += g[:, :, li, lj]
+    return Tensor(gx)
 
 
 def _nearest_up_adjoint(go: np.ndarray, sigma: int, h: int, w: int) -> np.ndarray:

@@ -26,6 +26,11 @@ nn._gemm_tier from reassembly, so one patch of it sees every decision:
   threads). It agrees with the exact tier within the tolerances pinned in
   tests/test_fast_tier.py, not bitwise.
 
+Borders follow one rule: gathers pad, scatters clip. A gather reads a
+zero-padded copy (_windows); a scatter (_scatter_taps, reassembly's source
+gradient, the pooling adjoints) adds each tap's span clipped to the map
+(_tap_spans) into an unpadded result, so nothing is cropped.
+
 The exact orders are part of the exact tier's contract, and each is stated
 once, at the loop that carries it (reassembly's at reassembly._phase_step):
 
@@ -47,6 +52,7 @@ are still deterministic run to run.
 from __future__ import annotations
 
 import contextvars
+import operator
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -146,10 +152,22 @@ class AffineNormParams(_TrainableArrays):
         self._init_buffers()
 
 
+def _integer(name: str, value, error: type) -> int:
+    """value as a Python int: what operator.index takes, but a bool. Else
+    error, so every integer argument is rejected before numpy sees it."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
 def _init_weights(shape: tuple, fan_in: int, rng: np.random.Generator | None,
                   dtype) -> np.ndarray:
     """Fan-in uniform U[-s, s], s = (1 / (fan_in * k^2))^0.5, or zeros
-    without rng. Every size must be >= 1."""
+    without rng. Every size must be an integer >= 1 (fan_in is one)."""
+    shape = tuple(_integer("conv weight size", size, ShapeError) for size in shape)
     if min(shape) < 1:
         raise ShapeError(f"conv weight sizes must be >= 1, got {shape}")
     dt = np.dtype(dtype)
@@ -181,6 +199,7 @@ def transposed_conv_params(c_src: int, c_dst: int, k: int,
 
 
 def affine_params(channels: int, dtype=np.float64) -> AffineNormParams:
+    channels = _integer("affine norm channels", channels, ShapeError)
     if channels < 1:
         raise ShapeError(f"affine norm needs >= 1 channel, got {channels}")
     dt = np.dtype(dtype)
@@ -234,13 +253,23 @@ def _fold(a: np.ndarray, axis: int) -> np.ndarray:
     return acc
 
 
-def _taps(k: int, stride: int, h: int, w: int):
-    """(ki, kj, rows, cols) of each tap, row-major: the strided window of the
-    padded map that meets an h x w grid through tap (ki, kj)."""
-    for ki in range(k):
-        for kj in range(k):
-            yield (ki, kj, slice(ki, ki + stride * (h - 1) + 1, stride),
-                   slice(kj, kj + stride * (w - 1) + 1, stride))
+def _span(d: int, step: int, count: int, size: int) -> tuple[slice, slice]:
+    """(locations, targets) along one axis: location i in [0, count) reaches
+    target step*i + d, which must lie in [0, size)."""
+    lo = max(0, -(d // step))
+    hi = max(lo, min(count, -((d - size) // step)))
+    return slice(lo, hi), slice(step * lo + d, step * hi + d, step)
+
+
+def _tap_spans(k: int, stride: int, pad: int, hs: int, ws: int, h: int,
+               w: int, row0: int = 0) -> list:
+    """(rows, cols) of each tap (ki, kj), row-major, each a _span pair of
+    (locations, targets): location (row0 + i, j) of an hs x ws grid reaches
+    target (stride*(row0 + i) + ki - pad, stride*j + kj - pad) of an h x w
+    map, clipped to it. Every scatter-add reads its taps here."""
+    rows = [_span(stride * row0 + t - pad, stride, hs, h) for t in range(k)]
+    cols = [_span(t - pad, stride, ws, w) for t in range(k)]
+    return [(r, c) for r in rows for c in cols]
 
 
 # True inside exact_tier(). A new thread starts with a fresh context, so on
@@ -278,7 +307,7 @@ def _gemm_tier(terms: int) -> bool:
 _BLOCK_BYTES = 1 << 18
 
 
-def _spans(n: int, hb: int, row_bytes: int) -> list:
+def _blocks(n: int, hb: int, row_bytes: int) -> list:
     """(images, rows) slices of each block over n images of hb rows of
     row_bytes each: whole images while one fits in _BLOCK_BYTES, else rows
     of one image, the last block of each image ragged. In order, so the
@@ -321,10 +350,10 @@ def _unfold_blocks(x: np.ndarray, k: int, step: int, pad: int, hb: int,
     faults of fresh memory every time."""
     n, c = x.shape[:2]
     win = _windows(x, k, step, pad, hb, wb)
-    spans = _spans(n, hb, wb * k * k * c * x.itemsize)
-    bs, rs = spans[0]
+    blocks = _blocks(n, hb, wb * k * k * c * x.itemsize)
+    bs, rs = blocks[0]
     buf = np.empty(win[bs, rs].size, dtype=x.dtype)
-    for bs, rs in spans:
+    for bs, rs in blocks:
         blk = win[bs, rs]
         out = buf[:blk.size].reshape(blk.shape)
         np.copyto(out, blk)
@@ -403,12 +432,12 @@ def _scatter_taps(src: np.ndarray, weights: np.ndarray, stride: int, pad: int,
     """out[:, o, ki + s*i - pad, kj + s*j - pad] += weights[c, o, ki, kj] *
     src[:, c, i, j], for the (n, o, h, w) result.
 
-    The adjoint of _gather_taps and the one scatter fold. Exact tier: per
-    element of the padded result, taps fold in (c, ki, kj) order from zero;
-    then the crop. Fast tier: at stride 1 (and pad < k), the gather of src
-    zero-padded by k - 1 - pad with the flipped, transposed kernel, so no
-    scatter; otherwise one src_block @ Wm per block, then k*k channels-last
-    adds.
+    The adjoint of _gather_taps and the one scatter fold. Every tap adds its
+    clipped span (_tap_spans) into an unpadded result. Exact tier: per
+    element of the result, taps fold in (c, ki, kj) order from zero. Fast
+    tier: at stride 1 (and pad < k), the gather of src zero-padded by
+    k - 1 - pad with the flipped, transposed kernel, so no scatter;
+    otherwise one src_block @ Wm per block, then k*k channels-last adds.
     """
     n, c, hs, ws = src.shape
     c_o, k = weights.shape[1], weights.shape[2]
@@ -418,25 +447,24 @@ def _scatter_taps(src: np.ndarray, weights: np.ndarray, stride: int, pad: int,
             return _gemm_gather(src, flipped, 1, k - 1 - pad)
         wm = _weight_matrix(weights)
         src_cl = np.ascontiguousarray(src.transpose(0, 2, 3, 1))
-        acc = np.zeros((n, h + 2 * pad, w + 2 * pad, c_o), dtype=src.dtype)
-        spans = _spans(n, hs, ws * k * k * c_o * src.itemsize)
-        buf = np.empty((src_cl[spans[0]].size // c, wm.shape[1]), dtype=src.dtype)
-        for bs, rs in spans:
+        acc = np.zeros((n, h, w, c_o), dtype=src.dtype)
+        blocks = _blocks(n, hs, ws * k * k * c_o * src.itemsize)
+        buf = np.empty((src_cl[blocks[0]].size // c, wm.shape[1]), dtype=src.dtype)
+        for bs, rs in blocks:
             blk = src_cl[bs, rs]
             nb, rb = blk.shape[:2]
             prod = np.matmul(blk.reshape(-1, c), wm, out=buf[:nb * rb * ws])
-            prod = prod.reshape(nb, rb, ws, k, k, c_o)
-            dst = acc[bs, stride * rs.start:]
-            for ki, kj, rows, cols in _taps(k, stride, rb, ws):
-                dst[:, rows, cols] += prod[:, :, :, ki, kj]
-        acc = acc[:, pad:pad + h, pad:pad + w].transpose(0, 3, 1, 2)
-        return np.ascontiguousarray(acc)
-    acc = np.zeros((n, c_o, h + 2 * pad, w + 2 * pad), dtype=src.dtype)
+            prod = prod.reshape(nb, rb, ws, k * k, c_o)
+            for q, ((li, ti), (lj, tj)) in enumerate(
+                    _tap_spans(k, stride, pad, rb, ws, h, w, rs.start)):
+                acc[bs, ti, tj] += prod[:, li, lj, q]
+        return np.ascontiguousarray(acc.transpose(0, 3, 1, 2))
+    acc = np.zeros((n, c_o, h, w), dtype=src.dtype)
+    taps = _tap_spans(k, stride, pad, hs, ws, h, w)
     for ch in range(c):
-        for ki, kj, rows, cols in _taps(k, stride, hs, ws):
-            w_c = weights[ch, :, ki, kj].reshape(1, -1, 1, 1)
-            acc[:, :, rows, cols] += w_c * src[:, ch][:, None]
-    return acc[:, :, pad:pad + h, pad:pad + w].copy() if pad else acc
+        for (ki, kj), ((li, ti), (lj, tj)) in zip(np.ndindex(k, k), taps):
+            acc[:, :, ti, tj] += weights[ch, :, ki, kj, None, None] * src[:, ch, None, li, lj]
+    return acc
 
 
 def _fold_weight_taps(grad_w: np.ndarray, lhs: np.ndarray, src: np.ndarray,
@@ -587,8 +615,11 @@ def transposed_conv_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
     if _gemm_tier(n * h * w):
         _fold_weight_taps(p.grad_weights, x.data, go, stride, pad)
     else:
+        # The one padded operand outside a gather: einsum sums in unrolled
+        # partial sums, and clipping its operands regroups them (new bits).
         go_full = np.pad(go, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        for ki, kj, rows, cols in _taps(k, stride, h, w):
+        taps = _tap_spans(k, stride, 0, h, w, *go_full.shape[2:])
+        for (ki, kj), ((_, rows), (_, cols)) in zip(np.ndindex(k, k), taps):
             p.grad_weights[:, :, ki, kj] += np.einsum(
                 "bsij,bdij->sd", x.data, go_full[:, :, rows, cols],
                 optimize=False)

@@ -41,7 +41,6 @@ of the exact tier's.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -50,11 +49,11 @@ import numpy as np
 from . import nn
 from .errors import (ContractError, DTypeError, GeometryError,
                      KernelSizeError, ShapeError)
-from .nn import (AffineNormParams, ConvLayerParams, _fold, affine_norm,
-                 affine_norm_backward, affine_params, conv2d_backward,
-                 conv2d_forward, conv_params, pixel_shuffle, pixel_unshuffle,
-                 relu, relu_backward, sigmoid_array, softmax_group,
-                 softmax_group_backward)
+from .nn import (AffineNormParams, ConvLayerParams, _fold, _integer,
+                 affine_norm, affine_norm_backward, affine_params,
+                 conv2d_backward, conv2d_forward, conv_params, pixel_shuffle,
+                 pixel_unshuffle, relu, relu_backward, sigmoid_array,
+                 softmax_group, softmax_group_backward)
 from .tensor import Tensor
 
 DIRECTIONS = ("down", "up")
@@ -62,17 +61,6 @@ NORMALIZERS = ("softmax", "sigmoid", "sigmoid_norm")
 
 _C_MID_DEFAULT = {"down": 16, "up": 64}
 _COMPRESSOR_NORM_DEFAULT = {"down": True, "up": False}
-
-
-def _integer(name: str, value, error: type) -> int:
-    """value as a Python int: what operator.index takes, but a bool. Else
-    error, so every geometry integer is rejected before numpy sees it."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise error(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -450,20 +438,19 @@ def _source_gradient(gl: np.ndarray, kl: np.ndarray, k: int, step: int, h: int,
                      w: int) -> np.ndarray:
     """Adjoint of reassemble's window sum wrt x: per offset in ascending q,
     each location whose window reaches the map through it adds its kernel
-    weights times its (ph*ph, c) block of grad_y into the source it reaches
-    (_span), in an unpadded channels-last map. The exact tier adds the
-    phases one at a time, row-major (_phase_step's order); where
-    nn._gemm_tier says so, one batched (1, ph*ph) x (ph*ph, c) matmul per
-    offset contracts them. Every product goes through one buffer. gl and kl
-    are the _channels_last copies of grad_y and of the kernel field."""
+    weights times its (ph*ph, c) block of grad_y into the source it reaches,
+    over the offset's clipped spans (nn._tap_spans, 2k spans per call), in
+    an unpadded channels-last map. The exact tier adds the phases one at a
+    time, row-major (_phase_step's order); where nn._gemm_tier says so, one
+    batched (1, ph*ph) x (ph*ph, c) matmul per offset contracts them. Every
+    product goes through one buffer. gl and kl are the _channels_last copies
+    of grad_y and of the kernel field."""
     n, hb, wb, phases, c = gl.shape
     gx = np.zeros((n, h, w, 1, c), dtype=gl.dtype)
     buf = np.empty(n * hb * wb * c, dtype=gl.dtype)
     gemm = nn._gemm_tier(phases)
-    for q, (dn, dm) in enumerate(kernel_offsets(k)):
-        loc_i, src_i = _span(dn, step, hb, h)
-        loc_j, src_j = _span(dm, step, wb, w)
-        g, kq, dst = gl[:, loc_i, loc_j], kl[:, loc_i, loc_j, :, q], gx[:, src_i, src_j]
+    for q, ((li, si), (lj, sj)) in enumerate(nn._tap_spans(k, step, k // 2, hb, wb, h, w)):
+        g, kq, dst = gl[:, li, lj], kl[:, li, lj, :, q], gx[:, si, sj]
         prod = buf[:dst.size].reshape(dst.shape)
         if gemm:
             dst += np.matmul(kq[..., None, :], g, out=prod)
@@ -471,14 +458,6 @@ def _source_gradient(gl: np.ndarray, kl: np.ndarray, k: int, step: int, h: int,
             for p in range(phases):
                 dst += np.multiply(kq[..., p, None, None], g[..., p, None, :], out=prod)
     return np.ascontiguousarray(gx[..., 0, :].transpose(0, 3, 1, 2))
-
-
-def _span(d: int, step: int, count: int, size: int) -> tuple[slice, slice]:
-    """(locations, sources) along one axis: location i in [0, count) reaches
-    source step*i + d, which must lie in [0, size)."""
-    lo = max(0, -(d // step))
-    hi = max(lo, min(count, -((d - size) // step)))
-    return slice(lo, hi), slice(step * lo + d, step * hi + d, step)
 
 
 def _put_location_major(dst: np.ndarray, prod: np.ndarray) -> None:

@@ -6,6 +6,8 @@ with the dot-product adjoint identity <gy, f(x)> == <gx, x> (exact for the
 linear kinds, gate-frozen for attention).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,56 @@ class TestPooling:
         for kind in ("avg_pool", "max_pool"):
             y, _ = resample_forward(make_resample_op(kind, 2), x)
             assert y.shape == (1, 1, 4, 3)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("sigma", [1, 2, 3, 4])
+    def test_pool_keeps_its_loop_definitions_bits(self, sigma, dtype):
+        # Over ragged maps, a loop over each window's in-map taps, row-major:
+        # max takes the first maximum and routes grad_y to it; avg folds
+        # from +0, divides by sigma^2 and adds grad_y / sigma^2 to each tap.
+        # About half of every draw is +-0 or +-1, so windows hold ties and
+        # signed zeros.
+        rng = np.random.default_rng(40 + sigma)
+
+        def draw(shape):
+            a = rng.standard_normal(shape)
+            hit = rng.random(shape) < 0.5
+            a[hit] = rng.choice([-0.0, 0.0, -1.0, 1.0], size=shape)[hit]
+            return a.astype(dtype)
+
+        pad = sigma // 2 if sigma % 2 else 0
+        div = dtype(sigma * sigma)
+        for h, w in itertools.product(range(1, 10), repeat=2):
+            x = draw((1, 2, h, w))
+            for kind in ("max_pool", "avg_pool"):
+                op = make_resample_op(kind, sigma)
+                y, cache = resample_forward(op, Tensor(x))
+                gy = draw(y.shape)
+                gx = resample_backward(op, Tensor(gy), cache).data
+                loop_y = np.empty(y.shape, dtype)
+                loop_gx = np.zeros(x.shape, dtype)
+                for b, c, oi, oj in np.ndindex(*y.shape):
+                    taps = [(b, c, r, s)
+                            for r in range(sigma * oi - pad, sigma * oi - pad + sigma)
+                            for s in range(sigma * oj - pad, sigma * oj - pad + sigma)
+                            if 0 <= r < h and 0 <= s < w]
+                    if kind == "max_pool":
+                        best = taps[0]
+                        for tap in taps[1:]:
+                            if x[tap] > x[best]:
+                                best = tap
+                        loop_y[b, c, oi, oj] = x[best]
+                        loop_gx[best] += gy[b, c, oi, oj]
+                        continue
+                    acc = dtype(0)
+                    for tap in taps:
+                        acc += x[tap]
+                        loop_gx[tap] += gy[b, c, oi, oj] / div
+                    loop_y[b, c, oi, oj] = acc / div
+                case = (kind, h, w)
+                assert y.data.dtype == gx.dtype == dtype, case
+                assert y.data.tobytes() == loop_y.tobytes(), case
+                assert gx.tobytes() == loop_gx.tobytes(), case
 
     def test_max_pool_on_all_negative_input(self):
         # -inf padding must never leak into the output.

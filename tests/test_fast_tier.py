@@ -5,7 +5,8 @@ tiers. The source gradient is one function on both tiers: per window
 offset, the exact tier adds the phases one at a time and the fast tier
 contracts them by one batched matmul. Its exact bits, and the fast down
 direction's (one phase, so a single multiply), are gated here to be the
-loop twin's, and the offset spans it adds over to be their definition.
+loop twin's, and the tap spans every scatter-add reads (nn._span,
+nn._tap_spans) to be their definition.
 
 The fast tier sums in BLAS order, so it is held to a tolerance against the
 exact tier rather than to bits: per result array, max|fast - exact| /
@@ -259,13 +260,45 @@ def test_source_gradient_scatter_keeps_the_loop_twins_bits(direction, dtype):
 @pytest.mark.parametrize("step", [1, 2, 3])
 def test_span_is_every_location_whose_source_lies_in_the_map(step):
     for d, count, size in itertools.product(range(-8, 9), range(8), range(1, 20)):
-        locations, sources = reassembly._span(d, step, count, size)
+        locations, sources = nn._span(d, step, count, size)
         reached = [i for i in range(count) if 0 <= step * i + d < size]
         assert min(locations.start, locations.stop, sources.start,
                    sources.stop) >= 0, (d, count, size)
         assert list(range(count))[locations] == reached, (d, count, size)
         assert list(range(size))[sources] == [step * i + d for i in reached], (
             d, count, size)
+
+
+def _pairs(span, count, size):
+    """The (location, target) pairs one axis of a tap span names; no slice
+    bound may be negative, which would count from the end."""
+    locations, targets = span
+    assert min(locations.start, locations.stop, targets.start,
+               targets.stop) >= 0
+    return list(zip(range(count)[locations], range(size)[targets]))
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_tap_spans_are_every_in_map_target_in_row_major_tap_order(k, stride):
+    # Every (pad, hs, h, row0); each row case is paired with one (ws, w) in
+    # turn, so every column case is met too.
+    col_cases = list(itertools.product(range(7), range(1, 13)))
+    row_cases = itertools.product(range(k + 1), range(7), range(1, 13), range(5))
+    for case, (pad, hs, h, row0) in enumerate(row_cases):
+        ws, w = col_cases[case % len(col_cases)]
+        taps = nn._tap_spans(k, stride, pad, hs, ws, h, w, row0)
+        rows = [taps[ki * k][0] for ki in range(k)]
+        cols = [taps[kj][1] for kj in range(k)]
+        assert taps == [(r, c) for r in rows for c in cols]
+        for t in range(k):
+            assert _pairs(rows[t], hs, h) == [
+                (i, r) for i in range(hs)
+                if 0 <= (r := stride * (row0 + i) + t - pad) < h], (
+                pad, hs, h, row0, t)
+            assert _pairs(cols[t], ws, w) == [
+                (j, c) for j in range(ws)
+                if 0 <= (c := stride * j + t - pad) < w], (pad, ws, w, t)
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +329,13 @@ def test_block_bytes_split_rows_and_images(monkeypatch):
     # and of the up reassembly (7 x 5 locations of 36 values), 5 images each.
     for row_bytes in (5 * 27 * 8, 5 * 36 * 8):
         monkeypatch.setattr(nn, "_BLOCK_BYTES", BLOCK_BYTES[0])
-        assert nn._spans(5, 7, row_bytes) == [
+        assert nn._blocks(5, 7, row_bytes) == [
             (slice(b, b + 1), slice(i, i + 2)) for b in range(5)
             for i in (0, 2, 4, 6)]
         monkeypatch.setattr(nn, "_BLOCK_BYTES", BLOCK_BYTES[1])
         per = BLOCK_BYTES[1] // row_bytes // 7
         assert per in (2, 3)
-        assert nn._spans(5, 7, row_bytes) == [
+        assert nn._blocks(5, 7, row_bytes) == [
             (slice(b, b + per), slice(0, 7)) for b in range(0, 5, per)]
 
 
