@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContractError, GeometryError
-from .nn import (ConvLayerParams, _fold, _integer, _tap_spans,
+from .nn import (ConvLayerParams, _at_least, _check_grad, _fold, _tap_spans,
                  conv2d_backward, conv2d_forward, conv_params, sigmoid_array,
                  transposed_conv_backward, transposed_conv_forward,
                  transposed_conv_params)
@@ -306,9 +306,7 @@ def make_resample_op(kind: str, sigma: int, channels: int | None = None,
                      dtype=np.float64, direction: str | None = None) -> ResampleOp:
     """Build one roster entry; learned kinds need channels (rng optional)."""
     spec = _kind(kind)
-    sigma = _integer("sigma", sigma, GeometryError)
-    if sigma < 1:
-        raise GeometryError(f"sigma must be an integer >= 1, got {sigma!r}")
+    sigma = _at_least("sigma", sigma, 1, GeometryError)
     inferred = spec.direction
     if inferred is None:
         if direction not in ("down", "up"):
@@ -330,10 +328,17 @@ def resample_output_hw(op: ResampleOp, h: int, w: int) -> tuple[int, int]:
 
 
 def resample_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
-    """Apply the operator; returns (output, cache for resample_backward)."""
-    return _kind(op.kind).forward(op, x)
+    """Apply the operator; returns (output, cache for resample_backward),
+    the cache holding the output's (shape, dtype) under "out"."""
+    y, cache = _kind(op.kind).forward(op, x)
+    cache["out"] = (y.shape, y.dtype)
+    return y, cache
 
 
 def resample_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
     """Adjoint of resample_forward; accumulates grads of learned params."""
-    return _kind(op.kind).backward(op, grad_y, cache)
+    kind = _kind(op.kind)
+    if cache is None or "out" not in cache:
+        raise ContractError("resample_backward needs the cache from resample_forward")
+    _check_grad(grad_y, *cache["out"])
+    return kind.backward(op, grad_y, cache)

@@ -122,9 +122,10 @@ _FLAGS = {
 }
 # Every subcommand ends with --config and then these flags.
 _COMMON_KEYS = ("seed", "threads", "out")
-# Config keys whose value must be > 0.
+# Config keys whose value must be > 0, and those that must be >= 0.
 _POSITIVE = {"eps", "sigma", "reps", "warmup", "epochs", "train_count",
              "eval_count", "threads"}
+_NON_NEGATIVE = {"seed"}
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +161,8 @@ def _load_config(parser, args, defaults: dict) -> tuple[dict, dict]:
     """(merged, conf). merged is _merge_config's, as the report records it,
     with threads resolved ($CARAFE_THREADS, else 1, when unset) to its int.
     conf holds each value converted by its _FLAGS type (str if none),
-    checked against its _FLAGS choices and, for a _POSITIVE key, to be > 0.
+    checked against its _FLAGS choices and, for a _POSITIVE key, to be > 0
+    (>= 0 for a _NON_NEGATIVE one).
     None passes where the default is None, and compressor_norm also takes a
     JSON true/false/null. A value that fails is a usage error."""
     merged = _merge_config(parser, args, defaults)
@@ -182,6 +184,8 @@ def _load_config(parser, args, defaults: dict) -> tuple[dict, dict]:
             parser.error(f"{key} must be one of {spec['choices']}, got {value!r}")
         if key in _POSITIVE and conf[key] <= 0:
             parser.error(f"{key} must be > 0, got {value!r}")
+        if key in _NON_NEGATIVE and conf[key] < 0:
+            parser.error(f"{key} must be >= 0, got {value!r}")
     merged["threads"] = conf["threads"]
     return merged, conf
 

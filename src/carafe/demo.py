@@ -23,7 +23,7 @@ import numpy as np
 from .baselines import (ALL_KINDS, make_resample_op, resample_backward,
                         resample_forward)
 from .errors import ContractError, GeometryError, ShapeError, TrainingDiverged
-from .nn import (_integer, conv2d_backward, conv2d_forward, conv_params,
+from .nn import (_at_least, conv2d_backward, conv2d_forward, conv_params,
                  relu, relu_backward, sgd_step, sigmoid_array)
 from .reassembly import (CarafeConfig, carafe_backward, carafe_forward,
                          carafe_params)
@@ -32,14 +32,6 @@ from .tensor import Tensor
 TASK_KINDS = ("super_res", "inpaint", "seg2")
 ARCHITECTURES = ("upsampler", "bottleneck", "fpn")
 SLOT_KINDS = ("carafe",) + ALL_KINDS
-
-
-def _at_least(name: str, value, low: int) -> int:
-    """value as a Python int >= low, else ContractError."""
-    value = _integer(name, value, ContractError)
-    if value < low:
-        raise ContractError(f"{name} must be >= {low}, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -54,13 +46,9 @@ class ToyTask:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ContractError(f"task kind must be one of {TASK_KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "size", _integer("task size", self.size, GeometryError))
-        object.__setattr__(self, "sigma", _integer("sigma", self.sigma, GeometryError))
-        object.__setattr__(self, "seed", _at_least("seed", self.seed, 0))
-        if self.size < 4:
-            raise GeometryError(f"task size must be >= 4, got {self.size}")
-        if self.sigma < 1:
-            raise GeometryError(f"sigma must be >= 1, got {self.sigma}")
+        for name, low, error in (("size", 4, GeometryError), ("sigma", 1, GeometryError),
+                                 ("seed", 0, ContractError)):
+            object.__setattr__(self, name, _at_least(name, getattr(self, name), low, error))
         if self.size % self.sigma:
             raise GeometryError(
                 f"task size {self.size} must be divisible by sigma {self.sigma}")
@@ -112,7 +100,7 @@ def _box_down(img: np.ndarray, sigma: int) -> np.ndarray:
 def make_dataset(task: ToyTask, count: int, dtype=np.float64
                  ) -> list[tuple[Tensor, Tensor]]:
     """count (input, target) pairs, deterministic per (task, count prefix)."""
-    count = _at_least("count", count, 1)
+    count = _at_least("count", count, 1, ContractError)
     rng = np.random.default_rng(task.seed)
     dt = np.dtype(dtype)
     out = []
@@ -402,7 +390,8 @@ def seeded_net(arch: str, slot: SlotSpec, channels: int, sigma: int, seed: int,
     """build_net with the trunk and the slot drawing from the two streams
     that SeedSequence(seed).spawn(2) gives, in that order: every slot built
     from one seed sees bitwise-equal trunk parameters."""
-    shared_ss, slot_ss = np.random.SeedSequence(_at_least("seed", seed, 0)).spawn(2)
+    seed = _at_least("seed", seed, 0, ContractError)
+    shared_ss, slot_ss = np.random.SeedSequence(seed).spawn(2)
     return build_net(arch, slot, channels, sigma, np.random.default_rng(shared_ss),
                      np.random.default_rng(slot_ss), dtype)
 
@@ -453,14 +442,14 @@ def train(net, task: ToyTask, epochs: int, lr: float, momentum: float = 0.9,
     """Full-batch SGD on the task's dataset.
 
     epochs, train_count and eval_count that are not integers >= 1, and a
-    seed that is not an integer >= 0, raise ContractError before any step. A step that overflows, makes an invalid value or ends at a
-    non-finite loss raises TrainingDiverged. seed defaults to task.seed and
-    is recorded in the report; the dataset itself is generated from
-    task.seed.
+    seed that is not an integer >= 0, raise ContractError before any step.
+    A step that overflows, makes an invalid value or ends at a non-finite
+    loss raises TrainingDiverged. seed defaults to task.seed and is recorded
+    in the report; the dataset itself is generated from task.seed.
     """
-    epochs, train_count, eval_count = (_at_least(*arg, 1) for arg in (
+    epochs, train_count, eval_count = (_at_least(name, value, 1, ContractError) for name, value in (
         ("epochs", epochs), ("train_count", train_count), ("eval_count", eval_count)))
-    seed = task.seed if seed is None else _at_least("seed", seed, 0)
+    seed = task.seed if seed is None else _at_least("seed", seed, 0, ContractError)
     x, y = dataset_batch(task, train_count, dtype)
     loss_fn = _task_loss(task)
     report = TrainRunReport(operator=getattr(net, "slot_name", "?"),

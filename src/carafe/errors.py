@@ -6,6 +6,12 @@ one exception is gradcheck's KeyError for an op or target name it does not
 hold, raised as a mapping lookup would. The types that reject a value
 (ShapeError, GeometryError, KernelSizeError, ContractError, FormatError)
 also derive from ValueError.
+
+Public ops check their operands at their own boundary, each check written
+once in nn: every integer argument goes through nn._at_least (an integer,
+not a bool, at or above its bound, else the caller's error type), and
+every backward checks its incoming gradient against its forward's result
+through nn._check_grad (the shape, ShapeError, then the dtype, DTypeError).
 """
 
 

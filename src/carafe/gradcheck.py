@@ -340,5 +340,5 @@ def check_op(name: str, seed: int = 0, tol: float = DEFAULT_TOL,
     if name not in REGISTRY:
         raise KeyError(
             f"unknown op {name!r}; registered: {', '.join(sorted(REGISTRY))}")
-    problem = REGISTRY[name](seed)
+    problem = REGISTRY[name](nn._at_least("seed", seed, 0, ContractError))
     return check_problem(name, problem, tol=tol, eps=eps)

@@ -152,24 +152,34 @@ class AffineNormParams(_TrainableArrays):
         self._init_buffers()
 
 
-def _integer(name: str, value, error: type) -> int:
-    """value as a Python int: what operator.index takes, but a bool. Else
-    error, so every integer argument is rejected before numpy sees it."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise error(f"{name} must be an integer, got {value!r}")
+def _at_least(name: str, value, low: int, error: type) -> int:
+    """value as a Python int >= low, else error: what operator.index takes,
+    but a bool, so every integer argument is rejected before numpy sees it."""
+    try:
+        if isinstance(value, (bool, np.bool_)):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _check_grad(grad: Tensor, shape: tuple, dtype) -> None:
+    """The one check of a backward's incoming gradient against its
+    forward's result: the shape (ShapeError), then the dtype (DTypeError)."""
+    if grad.shape != shape:
+        raise ShapeError(f"grad shape {grad.shape} != forward output {shape}")
+    if grad.dtype != dtype:
+        raise DTypeError(f"dtype mismatch: grad {grad.dtype} vs forward output {dtype}")
 
 
 def _init_weights(shape: tuple, fan_in: int, rng: np.random.Generator | None,
                   dtype) -> np.ndarray:
     """Fan-in uniform U[-s, s], s = (1 / (fan_in * k^2))^0.5, or zeros
     without rng. Every size must be an integer >= 1 (fan_in is one)."""
-    shape = tuple(_integer("conv weight size", size, ShapeError) for size in shape)
-    if min(shape) < 1:
-        raise ShapeError(f"conv weight sizes must be >= 1, got {shape}")
+    shape = tuple(_at_least("conv weight size", size, 1, ShapeError) for size in shape)
     dt = np.dtype(dtype)
     if rng is None:
         return np.zeros(shape, dtype=dt)
@@ -199,9 +209,7 @@ def transposed_conv_params(c_src: int, c_dst: int, k: int,
 
 
 def affine_params(channels: int, dtype=np.float64) -> AffineNormParams:
-    channels = _integer("affine norm channels", channels, ShapeError)
-    if channels < 1:
-        raise ShapeError(f"affine norm needs >= 1 channel, got {channels}")
+    channels = _at_least("affine norm channels", channels, 1, ShapeError)
     dt = np.dtype(dtype)
     return AffineNormParams(gamma=np.ones(channels, dtype=dt),
                             beta=np.zeros(channels, dtype=dt))
@@ -212,8 +220,8 @@ def affine_params(channels: int, dtype=np.float64) -> AffineNormParams:
 
 
 def conv_output_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int]:
-    if stride < 1 or pad < 0:
-        raise GeometryError(f"invalid stride/pad ({stride},{pad})")
+    stride = _at_least("stride", stride, 1, GeometryError)
+    pad = _at_least("pad", pad, 0, GeometryError)
     h_out = (h + 2 * pad - k) // stride + 1
     w_out = (w + 2 * pad - k) // stride + 1
     if h_out < 1 or w_out < 1:
@@ -516,12 +524,7 @@ def conv2d_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
     n, c_in, h, w = x.shape
     c_out, _, k, _ = p.weights.shape
     h_out, w_out = conv_output_hw(h, w, k, stride, pad)
-    if grad_out.shape != (n, c_out, h_out, w_out):
-        raise ShapeError(
-            f"grad_out shape {grad_out.shape} != forward output "
-            f"({n},{c_out},{h_out},{w_out})")
-    if grad_out.dtype != x.dtype:
-        raise DTypeError(f"dtype mismatch: grad_out {grad_out.dtype} vs input {x.dtype}")
+    _check_grad(grad_out, (n, c_out, h_out, w_out), x.dtype)
     go = grad_out.data
     grad_x = _scatter_taps(go, p.weights, stride, pad, h, w)
     if _gemm_tier(n * h_out * w_out):
@@ -554,8 +557,8 @@ def conv2d_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
 
 
 def transposed_conv_output_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, int]:
-    if stride < 1 or pad < 0:
-        raise GeometryError(f"invalid stride/pad ({stride},{pad})")
+    stride = _at_least("stride", stride, 1, GeometryError)
+    pad = _at_least("pad", pad, 0, GeometryError)
     h_out = stride * (h - 1) + k - 2 * pad
     w_out = stride * (w - 1) + k - 2 * pad
     if h_out < 1 or w_out < 1:
@@ -606,10 +609,7 @@ def transposed_conv_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
     n, _, h, w = x.shape
     _, c_dst, k, _ = p.weights.shape
     h_out, w_out = transposed_conv_output_hw(h, w, k, stride, pad)
-    if grad_out.shape != (n, c_dst, h_out, w_out):
-        raise ShapeError(
-            f"grad_out shape {grad_out.shape} != forward output "
-            f"({n},{c_dst},{h_out},{w_out})")
+    _check_grad(grad_out, (n, c_dst, h_out, w_out), x.dtype)
     go = grad_out.data
     gx = _gather_taps(go, p.weights, stride, pad)
     if _gemm_tier(n * h * w):
@@ -637,8 +637,7 @@ def pixel_shuffle(x: Tensor, sigma: int) -> Tensor:
     out(b, ch, s*i + di, s*j + dj) = x(b, ch*s^2 + di*s + dj, i, j).
     Pure permutation, no arithmetic.
     """
-    if sigma < 1:
-        raise GeometryError(f"sigma must be >= 1, got {sigma}")
+    sigma = _at_least("sigma", sigma, 1, GeometryError)
     n, c, h, w = x.shape
     if c % (sigma * sigma) != 0:
         raise ShapeError(f"channels {c} not divisible by sigma^2 = {sigma * sigma}")
@@ -649,8 +648,7 @@ def pixel_shuffle(x: Tensor, sigma: int) -> Tensor:
 
 def pixel_unshuffle(x: Tensor, sigma: int) -> Tensor:
     """Inverse of pixel_shuffle: (n, c, s*h, s*w) -> (n, c*s^2, h, w)."""
-    if sigma < 1:
-        raise GeometryError(f"sigma must be >= 1, got {sigma}")
+    sigma = _at_least("sigma", sigma, 1, GeometryError)
     n, c, h, w = x.shape
     if h % sigma != 0 or w % sigma != 0:
         raise ShapeError(f"spatial size ({h},{w}) not divisible by sigma {sigma}")
@@ -667,8 +665,7 @@ def relu(x: Tensor) -> Tensor:
 
 
 def relu_backward(grad_out: Tensor, x: Tensor) -> Tensor:
-    if grad_out.shape != x.shape:
-        raise ShapeError(f"grad shape {grad_out.shape} != input shape {x.shape}")
+    _check_grad(grad_out, x.shape, x.dtype)
     return Tensor(grad_out.data * (x.data > 0))
 
 
@@ -682,15 +679,21 @@ def sigmoid_array(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def _groups(c: int, group: int) -> tuple[int, int]:
+    """(count, size) of c channels in groups of size group, else ShapeError."""
+    group = _at_least("group", group, 1, ShapeError)
+    if c % group:
+        raise ShapeError(f"channels {c} not divisible by group size {group}")
+    return c // group, group
+
+
 def softmax_group(x: Tensor, group: int) -> Tensor:
     """Softmax over contiguous channel groups of the given size, per location.
 
     Stabilized by per-group max subtraction, then a _fold over the group.
     """
     n, c, h, w = x.shape
-    if group < 1 or c % group != 0:
-        raise ShapeError(f"channels {c} not divisible by group size {group}")
-    ngroups = c // group
+    ngroups, group = _groups(c, group)
     xr = x.data.reshape(n, ngroups, group, h, w)
     m = xr.max(axis=2)
     e = np.exp(xr - m[:, :, None])
@@ -699,21 +702,22 @@ def softmax_group(x: Tensor, group: int) -> Tensor:
 
 
 def softmax_group_backward(grad_out: Tensor, y: Tensor, group: int) -> Tensor:
-    """Adjoint of softmax_group: dz = y * (g - sum(g*y)) per group.
-
-    The second argument is softmax_group's output y. It used to be the
-    logits, from which the backward ran the forward a second time.
-    """
-    if grad_out.shape != y.shape:
-        raise ShapeError(f"grad shape {grad_out.shape} != output shape {y.shape}")
+    """Adjoint of softmax_group: dz = y * (g - sum(g*y)) per group, y being
+    softmax_group's output."""
+    _check_grad(grad_out, y.shape, y.dtype)
     n, c, h, w = y.shape
-    if group < 1 or c % group != 0:
-        raise ShapeError(f"channels {c} not divisible by group size {group}")
-    ngroups = c // group
+    ngroups, group = _groups(c, group)
     y = y.data.reshape(n, ngroups, group, h, w)
     g = grad_out.data.reshape(n, ngroups, group, h, w)
     dz = y * (g - _fold(g * y, 2)[:, :, None])
     return Tensor(dz.reshape(n, c, h, w))
+
+
+def _check_norm_args(x: Tensor, p: AffineNormParams) -> None:
+    if p.gamma.shape != x.shape[1:2]:
+        raise ShapeError(f"gamma has {p.gamma.shape[0]} entries for {x.shape[1]} channels")
+    if p.gamma.dtype != x.dtype:
+        raise DTypeError(f"dtype mismatch: input {x.dtype} vs gamma {p.gamma.dtype}")
 
 
 def affine_norm(x: Tensor, p: AffineNormParams, eps: float = 1e-5) -> Tensor:
@@ -721,11 +725,8 @@ def affine_norm(x: Tensor, p: AffineNormParams, eps: float = 1e-5) -> Tensor:
 
     The mean and the variance each take the fold tree stated at _fold.
     """
+    _check_norm_args(x, p)
     n, c, h, w = x.shape
-    if p.gamma.shape != (c,):
-        raise ShapeError(f"gamma has {p.gamma.shape[0]} entries for {c} channels")
-    if p.gamma.dtype != x.dtype:
-        raise DTypeError(f"dtype mismatch: input {x.dtype} vs gamma {p.gamma.dtype}")
     xd = x.data
     count = x.dtype.type(n * h * w)
 
@@ -748,8 +749,8 @@ def affine_norm_backward(grad_out: Tensor, x: Tensor, p: AffineNormParams,
     Accumulates grad_gamma/grad_beta and returns grad wrt x. Recomputes the
     forward statistics; no cache needed.
     """
-    if grad_out.shape != x.shape:
-        raise ShapeError(f"grad shape {grad_out.shape} != input shape {x.shape}")
+    _check_norm_args(x, p)
+    _check_grad(grad_out, x.shape, x.dtype)
     n, c, h, w = x.shape
     xd = x.data
     go = grad_out.data

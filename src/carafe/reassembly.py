@@ -49,7 +49,7 @@ import numpy as np
 from . import nn
 from .errors import (ContractError, DTypeError, GeometryError,
                      KernelSizeError, ShapeError)
-from .nn import (AffineNormParams, ConvLayerParams, _fold, _integer,
+from .nn import (AffineNormParams, ConvLayerParams, _at_least, _check_grad, _fold,
                  affine_norm, affine_norm_backward, affine_params,
                  conv2d_backward, conv2d_forward, conv_params, pixel_shuffle,
                  pixel_unshuffle, relu, relu_backward, sigmoid_array,
@@ -61,6 +61,14 @@ NORMALIZERS = ("softmax", "sigmoid", "sigmoid_norm")
 
 _C_MID_DEFAULT = {"down": 16, "up": 64}
 _COMPRESSOR_NORM_DEFAULT = {"down": True, "up": False}
+
+
+def _odd_size(name: str, k) -> int:
+    """k as an odd integer >= 1, else KernelSizeError."""
+    k = _at_least(name, k, 1, KernelSizeError)
+    if k % 2 == 0:
+        raise KernelSizeError(f"{name} must be odd, got {k}")
+    return k
 
 
 @dataclass(frozen=True)
@@ -84,17 +92,10 @@ class CarafeConfig:
             raise GeometryError(f"direction must be one of {DIRECTIONS}, got {self.direction!r}")
         if self.c_mid is None:
             object.__setattr__(self, "c_mid", _C_MID_DEFAULT[self.direction])
-        for name, error in (("sigma", GeometryError), ("k_encoder", KernelSizeError),
-                            ("k_reassembly", KernelSizeError), ("c_mid", ContractError)):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), error))
-        if self.sigma < 1:
-            raise GeometryError(f"sigma must be >= 1, got {self.sigma}")
+        for name, error in (("sigma", GeometryError), ("c_mid", ContractError)):
+            object.__setattr__(self, name, _at_least(name, getattr(self, name), 1, error))
         for name in ("k_encoder", "k_reassembly"):
-            k = getattr(self, name)
-            if k < 1 or k % 2 == 0:
-                raise KernelSizeError(f"{name} must be odd and >= 1, got {k}")
-        if self.c_mid < 1:
-            raise ContractError(f"c_mid must be >= 1, got {self.c_mid}")
+            object.__setattr__(self, name, _odd_size(name, getattr(self, name)))
         if self.normalizer not in NORMALIZERS:
             raise ContractError(f"normalizer must be one of {NORMALIZERS}, got {self.normalizer!r}")
         if self.compressor_norm is None:
@@ -132,9 +133,7 @@ class KernelField:
     normalized: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _integer("kernel size", self.k, KernelSizeError))
-        if self.k < 1 or self.k % 2 == 0:
-            raise KernelSizeError(f"kernel size must be odd and >= 1, got {self.k}")
+        object.__setattr__(self, "k", _odd_size("kernel size", self.k))
         if self.tensor.shape[1] != self.k * self.k:
             raise ShapeError(
                 f"kernel field needs k^2 = {self.k * self.k} channels, "
@@ -380,12 +379,7 @@ def reassemble_backward(grad_y: Tensor, x: Tensor, kf: KernelField,
     """
     _check_reassemble_args(x, kf, cfg, allow_unnormalized)
     n, c, h, w = x.shape
-    h_out, w_out = cfg.output_hw(h, w)
-    if grad_y.shape != (n, c, h_out, w_out):
-        raise ShapeError(
-            f"grad shape {grad_y.shape} != output shape ({n},{c},{h_out},{w_out})")
-    if grad_y.dtype != x.dtype:
-        raise DTypeError(f"dtype mismatch: grad {grad_y.dtype} vs input {x.dtype}")
+    _check_grad(grad_y, (n, c) + cfg.output_hw(h, w), x.dtype)
     k = cfg.k_reassembly
     ph, step = _phase_step(cfg)
     gl = _channels_last(grad_y.data, ph)
@@ -493,9 +487,7 @@ def carafe_backward(grad_y: Tensor, cache: CarafeCache) -> Tensor:
         raise ContractError("cache already consumed by a previous backward call")
     cfg = cache.cfg
     n, c, h, w = cache.x.shape
-    y_shape = (n, c) + cfg.output_hw(h, w)
-    if grad_y.shape != y_shape:
-        raise ShapeError(f"grad shape {grad_y.shape} != forward output {y_shape}")
+    _check_grad(grad_y, (n, c) + cfg.output_hw(h, w), cache.x.dtype)
     cache.consumed = True
     params = cache.params
     gx_feat, g_kf = reassemble_backward(

@@ -375,6 +375,23 @@ class TestPositiveSettings:
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("by", ["flag", "file"])
+    @pytest.mark.parametrize("command", list(DEFAULTS))
+    def test_negative_seed_is_usage_error_before_any_report(
+            self, tmp_path, capsys, command, by):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**_SMALL[command],
+                                   **({"seed": -1} if by == "file" else {})}))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if by == "flag":
+            argv += ["--seed", "-1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_file_supplies_defaults(self, tmp_path):
