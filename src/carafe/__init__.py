@@ -17,7 +17,7 @@ from .baselines import (DOWN_KINDS, UP_KINDS, ResampleOp, deconv_geometry,
                         resample_output_hw)
 from .errors import (CarafeError, ContractError, DTypeError, FormatError,
                      GeometryError, KernelSizeError, NumericError, ShapeError,
-                     TrainingDiverged)
+                     TrainingDiverged, UnknownNameError)
 from .fileio import load_pgm, load_tensor, save_pgm, save_tensor
 from .gradcheck import (GradReport, check_op, finite_diff, registered_ops,
                         relative_error)
@@ -39,7 +39,7 @@ __all__ = [
     "Tensor", "SINGLE", "DOUBLE",
     "CarafeError", "ShapeError", "DTypeError", "GeometryError",
     "KernelSizeError", "ContractError", "FormatError", "NumericError",
-    "TrainingDiverged",
+    "TrainingDiverged", "UnknownNameError",
     "ConvLayerParams", "AffineNormParams", "conv_params",
     "transposed_conv_params", "affine_params", "conv_output_hw",
     "conv2d_forward", "conv2d_backward",

@@ -21,6 +21,7 @@ import argparse
 import contextvars
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -35,7 +36,7 @@ from .demo import (ARCHITECTURES, SLOT_KINDS, TASK_KINDS, SlotSpec, ToyTask,
                    make_slot_layer, seeded_net, train)
 from .errors import CarafeError, TrainingDiverged
 from .gradcheck import check_op, registered_ops
-from .nn import exact_tier
+from .nn import _at_least, exact_tier
 from .reassembly import NORMALIZERS
 from .tensor import Tensor
 
@@ -122,7 +123,8 @@ _FLAGS = {
 }
 # Every subcommand ends with --config and then these flags.
 _COMMON_KEYS = ("seed", "threads", "out")
-# Config keys whose value must be > 0, and those that must be >= 0.
+# Config keys whose value must be > 0 (an integer >= 1), and those that
+# must be >= 0.
 _POSITIVE = {"eps", "sigma", "reps", "warmup", "epochs", "train_count",
              "eval_count", "threads"}
 _NON_NEGATIVE = {"seed"}
@@ -159,15 +161,15 @@ def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
 
 def _load_config(parser, args, defaults: dict) -> tuple[dict, dict]:
     """(merged, conf). merged is _merge_config's, as the report records it,
-    with threads resolved ($CARAFE_THREADS, else 1, when unset) to its int.
-    conf holds each value converted by its _FLAGS type (str if none),
-    checked against its _FLAGS choices and, for a _POSITIVE key, to be > 0
-    (>= 0 for a _NON_NEGATIVE one).
-    None passes where the default is None, and compressor_norm also takes a
-    JSON true/false/null. A value that fails is a usage error."""
+    with threads resolved ($CARAFE_THREADS, parsed as text, else 1, when
+    unset) to its int. conf holds each value as _config_value checks it,
+    then checked against its _FLAGS choices. None passes where the default
+    is None, and compressor_norm also takes a JSON true/false/null. A value
+    that fails is a usage error."""
     merged = _merge_config(parser, args, defaults)
     if merged["threads"] is None:
-        merged["threads"] = os.environ.get("CARAFE_THREADS", "1")
+        merged["threads"] = _typed(parser, "threads",
+                                   os.environ.get("CARAFE_THREADS", "1"), int, "int")
     conf = {}
     for key, value in merged.items():
         spec = _FLAGS[key]
@@ -176,18 +178,34 @@ def _load_config(parser, args, defaults: dict) -> tuple[dict, dict]:
         if unset or tri_state:
             conf[key] = value
             continue
-        if value is None:
-            parser.error(f"{key} must not be null")
-        convert = spec.get("type", str)
-        conf[key] = _typed(parser, key, value, convert, convert.__name__)
+        conf[key] = _config_value(parser, key, value)
         if "choices" in spec and conf[key] not in spec["choices"]:
             parser.error(f"{key} must be one of {spec['choices']}, got {value!r}")
-        if key in _POSITIVE and conf[key] <= 0:
-            parser.error(f"{key} must be > 0, got {value!r}")
-        if key in _NON_NEGATIVE and conf[key] < 0:
-            parser.error(f"{key} must be >= 0, got {value!r}")
     merged["threads"] = conf["threads"]
     return merged, conf
+
+
+def _config_value(parser, key: str, value):
+    """value as its flag parses, checked, not coerced. An integer key takes
+    an integer, not a bool, through nn._at_least: >= 1 for a _POSITIVE key,
+    >= 0 for a _NON_NEGATIVE one, other bounds being the library's. A float
+    key takes a number, not a bool (> 0 for a _POSITIVE key), and a key
+    without a type a string. A value that fails is a usage error."""
+    kind = _FLAGS[key].get("type", str)
+    if kind is int:
+        low = 1 if key in _POSITIVE else 0 if key in _NON_NEGATIVE else -math.inf
+        try:
+            return _at_least(key, value, low, ValueError)
+        except ValueError as exc:
+            parser.error(str(exc))
+    what = "a number" if kind is float else "a string"
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float) if kind is float else str):
+        parser.error(f"{key} must be {what}, got {value!r}")
+    value = _typed(parser, key, value, kind, what)
+    if key in _POSITIVE and value <= 0:
+        parser.error(f"{key} must be > 0, got {value!r}")
+    return value
 
 
 def _typed(parser, key: str, value, convert, what: str):

@@ -2,10 +2,9 @@
 
 Everything raised on purpose derives from CarafeError so callers can catch
 the package's failures without also swallowing programming errors. The
-one exception is gradcheck's KeyError for an op or target name it does not
-hold, raised as a mapping lookup would. The types that reject a value
-(ShapeError, GeometryError, KernelSizeError, ContractError, FormatError)
-also derive from ValueError.
+types that reject a value (ShapeError, GeometryError, KernelSizeError,
+ContractError, FormatError) also derive from ValueError, and
+UnknownNameError, raised as a mapping lookup would, from KeyError.
 
 Public ops check their operands at their own boundary, each check written
 once in nn: every integer argument goes through nn._at_least (an integer,
@@ -50,6 +49,10 @@ class FormatError(CarafeError, ValueError):
             message = f"{message} (byte offset {offset})"
         super().__init__(message)
         self.offset = offset
+
+
+class UnknownNameError(CarafeError, KeyError):
+    """A lookup names an op or gradient target that its table does not hold."""
 
 
 class NumericError(CarafeError, ArithmeticError):

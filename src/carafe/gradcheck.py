@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import baselines, nn, reassembly
-from .errors import ContractError, NumericError, ShapeError
+from .errors import ContractError, NumericError, ShapeError, UnknownNameError
 from .tensor import Tensor
 
 DEFAULT_TOL = 1e-5
@@ -135,7 +135,7 @@ def check_problem(name: str, problem: CheckProblem, tol: float = DEFAULT_TOL,
     per_target: dict = {}
     for label, arr in problem.targets:
         if label not in analytic:
-            raise KeyError(f"analytic grads missing target {label!r}")
+            raise UnknownNameError(f"analytic grads missing target {label!r}")
         numeric = finite_diff_array(problem.loss, arr, eps)
         ana = np.asarray(analytic[label], dtype=np.float64)
         if ana.shape != numeric.shape:
@@ -338,7 +338,7 @@ def check_op(name: str, seed: int = 0, tol: float = DEFAULT_TOL,
     """Run the registered finite-difference check for one operator, on the
     caller's tier."""
     if name not in REGISTRY:
-        raise KeyError(
+        raise UnknownNameError(
             f"unknown op {name!r}; registered: {', '.join(sorted(REGISTRY))}")
     problem = REGISTRY[name](nn._at_least("seed", seed, 0, ContractError))
     return check_problem(name, problem, tol=tol, eps=eps)

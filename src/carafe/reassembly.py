@@ -17,7 +17,7 @@ emits sigma*H x sigma*W. Borders are zero-padded.
 
 Both directions run one pipeline and one tap loop per pass, parameterized
 by _phase_step, the one place the computation reads the direction
-(map_target_to_source spells the mapping out for the loop twins). The
+(map_target_to_source spells the mapping out per location). The
 accumulation orders of the exact tier, fixed so the vectorized code agrees
 bitwise with the direct loop nests in reference.py, are stated there; the
 sigmoid_norm normalizer's sums are nn._fold's.

@@ -1,10 +1,21 @@
 """Direct loop-nest implementations of every dual-path operation.
 
 These are the slow, obviously-correct twins of the exact tier in nn.py
-and reassembly.py. Each twin spells out, one scalar at a time, the exact
-per-element accumulation order that tier commits to, so the equivalence
-tests can demand bitwise agreement in double precision (and get it in single
-precision too, since the orders match there as well).
+and reassembly.py. Each twin spells out the exact per-element accumulation
+order that tier commits to, so the equivalence tests can demand bitwise
+agreement in double precision (and get it in single precision too, since
+the orders match there as well).
+
+The rule: a loop is a fold order, and an array axis is order-free. Every
+Python loop here runs over an axis whose terms one element folds (sums,
+or for softmax's max, compares) in that loop's order, ascending; every
+axis that carries no order (batch, the channels a fold does not sum,
+output locations) is an array axis, so each loop step folds one term into
+every element at once, elementwise. A twin
+whose only loop is elementwise (relu, the stable logistic) stays scalar.
+Each twin spells its own index maps and reads off-map taps as zeros of a
+padded copy; where two twins share a fold, they share the one loop nest
+below that spells it.
 
 Nothing here is exported for production use; the functions return fresh
 arrays instead of accumulating into parameter buffers.
@@ -14,223 +25,187 @@ from __future__ import annotations
 
 import numpy as np
 
-from .nn import (AffineNormParams, ConvLayerParams, conv_output_hw,
-                 transposed_conv_output_hw)
-from .reassembly import (CarafeConfig, CarafeParams, KernelField,
-                         kernel_offsets, map_target_to_source)
+from .nn import AffineNormParams, ConvLayerParams, transposed_conv_output_hw
+from .reassembly import CarafeConfig, CarafeParams, KernelField, kernel_offsets
 from .tensor import Tensor
+
+
+def _conv_windows(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
+    """View (n, c, h_out, w_out, k, k) of x zero-padded by pad: entry
+    [b, c, oi, oj, ki, kj] is padded x[b, c, stride*oi + ki, stride*oj + kj]."""
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
+    return win[:, :, ::stride, ::stride]
+
+
+def _scatter_fold(src: np.ndarray, weights: np.ndarray, stride: int, pad: int,
+                  h: int, w: int) -> np.ndarray:
+    """Adjoint of the conv gather, (n, c_dst, h, w) from src (n, c_src, hs, ws)
+    and weights (c_src, c_dst, k, k): target (i, j) folds, from zero, each
+    weights[cs, cd, ki, kj] * src[b, cs, oi, oj] with stride*oi + ki - pad = i
+    and stride*oj + kj - pad = j; taps reaching no location add nothing.
+
+    Fold axes cs, ki, kj ascending; array axes b, cd, oi, oj: one strided add
+    per tap, whose targets are distinct, into a map padded by pad and cropped.
+    """
+    n, c_src, hs, ws = src.shape
+    k = weights.shape[2]
+    acc = np.zeros((n, weights.shape[1], max(h + pad, stride * (hs - 1) + k),
+                    max(w + pad, stride * (ws - 1) + k)), dtype=src.dtype)
+    for cs in range(c_src):
+        for ki in range(k):
+            for kj in range(k):
+                acc[:, :, ki:ki + stride * hs:stride, kj:kj + stride * ws:stride] += \
+                    weights[cs, :, ki, kj, None, None] * src[:, cs, None]
+    return acc[:, :, pad:pad + h, pad:pad + w].copy()
+
+
+def _output_tree(terms: np.ndarray) -> np.ndarray:
+    """Sum of terms (n, h_out, w_out, ...) over its first three axes: output
+    cols fold innermost from zero, then rows, then batch, each ascending.
+
+    Fold axes b, oi, oj; array axes the rest (the parameter's own).
+    """
+    zero = terms.dtype.type(0)
+    batch_acc = zero
+    for batch in terms:
+        row_acc = zero
+        for row in batch:
+            col_acc = zero
+            for term in row:
+                col_acc = col_acc + term
+            row_acc = row_acc + col_acc
+        batch_acc = batch_acc + row_acc
+    return batch_acc
+
+
+def _over_group_sum(a: np.ndarray, group: int) -> np.ndarray:
+    """a (n, c, h, w) divided by the sum of its channel group, which folds
+    the group's channels ascending from zero.
+
+    Fold axis: the channel within a group; array axes b, group, i, j.
+    """
+    n, c, h, w = a.shape
+    ag = a.reshape(n, c // group, group, h, w)
+    tot = a.dtype.type(0)
+    for ch in range(group):
+        tot = tot + ag[:, :, ch]
+    return (ag / tot[:, :, None]).reshape(n, c, h, w)
+
+
+def _column_tree(a: np.ndarray) -> np.ndarray:
+    """Per-channel sum of a (n, c, h, w): each column j's partial folds
+    (b, i) from zero, batch outer; the partials fold over j ascending.
+
+    Fold axes j, b, i; array axis the channel.
+    """
+    zero = a.dtype.type(0)
+    tot = zero
+    for j in range(a.shape[3]):
+        col = zero
+        for b in range(a.shape[0]):
+            for i in range(a.shape[2]):
+                col = col + a[b, :, i, j]
+        tot = tot + col
+    return tot
 
 
 def conv2d_forward_direct(x: Tensor, p: ConvLayerParams, stride: int = 1,
                           pad: int = 0) -> Tensor:
-    """Seven-loop cross-correlation; bias first, taps in (ci, ki, kj) order."""
-    n, c_in, h, w = x.shape
-    c_out, _, k, _ = p.weights.shape
-    h_out, w_out = conv_output_hw(h, w, k, stride, pad)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    wts = p.weights
-    bias = p.bias
-    out = np.empty((n, c_out, h_out, w_out), dtype=x.dtype)
-    for b in range(n):
-        for co in range(c_out):
-            for oi in range(h_out):
-                for oj in range(w_out):
-                    acc = bias[co]
-                    for ci in range(c_in):
-                        for ki in range(k):
-                            for kj in range(k):
-                                acc = acc + wts[co, ci, ki, kj] * \
-                                    xp[b, ci, oi * stride + ki, oj * stride + kj]
-                    out[b, co, oi, oj] = acc
-    return Tensor(out)
+    """Cross-correlation, bias first, then taps.
+
+    Fold axes ci, ki, kj ascending; array axes b, co, oi, oj.
+    """
+    _, c_in, k, _ = p.weights.shape
+    win = _conv_windows(x.data, k, stride, pad)
+    acc = p.bias[:, None, None]
+    for ci in range(c_in):
+        for ki in range(k):
+            for kj in range(k):
+                acc = acc + p.weights[:, ci, ki, kj, None, None] * win[:, ci, None, :, :, ki, kj]
+    return Tensor(acc)
 
 
 def conv2d_backward_direct(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
                            stride: int = 1, pad: int = 0
                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Adjoint as explicit gathers; returns (grad_x, grad_weights, grad_bias).
+    """Adjoint; returns (grad_x, grad_weights, grad_bias).
 
-    grad_x folds taps per input element in (out-channel, ki, kj) order.
-    grad_weights/grad_bias use the column/row/batch reduction tree of the
-    exact tier: innermost fold over output cols, then rows, then batch.
+    grad_x is _scatter_fold's: fold axes co, ki, kj; array axes b, ci and
+    the locations. grad_weights and grad_bias take _output_tree: fold axes
+    b, oi, oj; array axes co, ci, ki, kj and co.
     """
-    n, c_in, h, w = x.shape
-    c_out, _, k, _ = p.weights.shape
-    h_out, w_out = conv_output_hw(h, w, k, stride, pad)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    k = p.weights.shape[2]
     go = grad_out.data
-    wts = p.weights
-    zero = x.dtype.type(0)
-    gx = np.empty_like(x.data)
-    for b in range(n):
-        for ci in range(c_in):
-            for ii in range(h):
-                for jj in range(w):
-                    acc = zero
-                    for co in range(c_out):
-                        for ki in range(k):
-                            num_i = ii + pad - ki
-                            if num_i % stride or not 0 <= num_i // stride < h_out:
-                                continue
-                            oi = num_i // stride
-                            for kj in range(k):
-                                num_j = jj + pad - kj
-                                if num_j % stride or not 0 <= num_j // stride < w_out:
-                                    continue
-                                oj = num_j // stride
-                                acc = acc + wts[co, ci, ki, kj] * go[b, co, oi, oj]
-                    gx[b, ci, ii, jj] = acc
-    gw = np.empty_like(wts)
-    for co in range(c_out):
-        for ci in range(c_in):
-            for ki in range(k):
-                for kj in range(k):
-                    batch_acc = zero
-                    for b in range(n):
-                        row_acc = zero
-                        for oi in range(h_out):
-                            col_acc = zero
-                            for oj in range(w_out):
-                                col_acc = col_acc + go[b, co, oi, oj] * \
-                                    xp[b, ci, oi * stride + ki, oj * stride + kj]
-                            row_acc = row_acc + col_acc
-                        batch_acc = batch_acc + row_acc
-                    gw[co, ci, ki, kj] = batch_acc
-    gb = np.empty_like(p.bias)
-    for co in range(c_out):
-        batch_acc = zero
-        for b in range(n):
-            row_acc = zero
-            for oi in range(h_out):
-                col_acc = zero
-                for oj in range(w_out):
-                    col_acc = col_acc + go[b, co, oi, oj]
-                row_acc = row_acc + col_acc
-            batch_acc = batch_acc + row_acc
-        gb[co] = batch_acc
-    return gx, gw, gb
+    gx = _scatter_fold(go, p.weights, stride, pad, *x.shape[2:])
+    win = _conv_windows(x.data, k, stride, pad)
+    terms = go.transpose(0, 2, 3, 1)[..., None, None, None] * \
+        win.transpose(0, 2, 3, 1, 4, 5)[:, :, :, None]
+    return gx, _output_tree(terms), _output_tree(go.transpose(0, 2, 3, 1))
 
 
 def transposed_conv_forward_direct(x: Tensor, p: ConvLayerParams,
                                    stride: int = 1, pad: int = 0) -> Tensor:
-    """Gather form of the adjoint conv; taps in (cs, ki, kj) order, bias last."""
-    n, c_src, h, w = x.shape
-    _, c_dst, k, _ = p.weights.shape
-    h_out, w_out = transposed_conv_output_hw(h, w, k, stride, pad)
-    xd = x.data
-    wts = p.weights
-    zero = x.dtype.type(0)
-    out = np.empty((n, c_dst, h_out, w_out), dtype=x.dtype)
-    for b in range(n):
-        for cd in range(c_dst):
-            for ii in range(h_out):
-                for jj in range(w_out):
-                    acc = zero
-                    for cs in range(c_src):
-                        for ki in range(k):
-                            num_i = ii + pad - ki
-                            if num_i % stride or not 0 <= num_i // stride < h:
-                                continue
-                            oi = num_i // stride
-                            for kj in range(k):
-                                num_j = jj + pad - kj
-                                if num_j % stride or not 0 <= num_j // stride < w:
-                                    continue
-                                oj = num_j // stride
-                                acc = acc + wts[cs, cd, ki, kj] * xd[b, cs, oi, oj]
-                    out[b, cd, ii, jj] = acc + p.bias[cd]
-    return Tensor(out)
+    """Adjoint of the conv gather, bias last.
+
+    _scatter_fold's: fold axes cs, ki, kj; array axes b, cd and the locations.
+    """
+    h_out, w_out = transposed_conv_output_hw(*x.shape[2:], p.weights.shape[2],
+                                             stride, pad)
+    out = _scatter_fold(x.data, p.weights, stride, pad, h_out, w_out)
+    return Tensor(out + p.bias[:, None, None])
 
 
 def pixel_shuffle_direct(x: Tensor, sigma: int) -> Tensor:
+    """out[b, ch, s*i + di, s*j + dj] = x[b, ch*s*s + di*s + dj, i, j]; no
+    fold, every axis an array axis."""
     n, c, h, w = x.shape
-    c_out = c // (sigma * sigma)
-    out = np.empty((n, c_out, h * sigma, w * sigma), dtype=x.dtype)
-    for b in range(n):
-        for ch in range(c_out):
-            for i in range(h):
-                for j in range(w):
-                    for di in range(sigma):
-                        for dj in range(sigma):
-                            out[b, ch, sigma * i + di, sigma * j + dj] = \
-                                x.data[b, ch * sigma * sigma + di * sigma + dj, i, j]
+    ch, i, j, di, dj = np.ogrid[:c // (sigma * sigma), :h, :w, :sigma, :sigma]
+    out = np.empty((n, c // (sigma * sigma), h * sigma, w * sigma), dtype=x.dtype)
+    out[:, ch, sigma * i + di, sigma * j + dj] = \
+        x.data[:, ch * sigma * sigma + di * sigma + dj, i, j]
     return Tensor(out)
 
 
 def pixel_unshuffle_direct(x: Tensor, sigma: int) -> Tensor:
+    """out[b, ch*s*s + di*s + dj, i, j] = x[b, ch, s*i + di, s*j + dj]; no
+    fold, every axis an array axis."""
     n, c, h, w = x.shape
+    ch, i, j, di, dj = np.ogrid[:c, :h // sigma, :w // sigma, :sigma, :sigma]
     out = np.empty((n, c * sigma * sigma, h // sigma, w // sigma), dtype=x.dtype)
-    for b in range(n):
-        for ch in range(c):
-            for i in range(h // sigma):
-                for j in range(w // sigma):
-                    for di in range(sigma):
-                        for dj in range(sigma):
-                            out[b, ch * sigma * sigma + di * sigma + dj, i, j] = \
-                                x.data[b, ch, sigma * i + di, sigma * j + dj]
+    out[:, ch * sigma * sigma + di * sigma + dj, i, j] = \
+        x.data[:, ch, sigma * i + di, sigma * j + dj]
     return Tensor(out)
 
 
 def softmax_group_direct(x: Tensor, group: int) -> Tensor:
-    """Per-location grouped softmax; normalizing sum folds channels ascending."""
+    """Per-location grouped softmax: a running max, then _over_group_sum.
+
+    Fold axis: the channel within a group (the max keeps the first of equal
+    values); array axes b, group, i, j.
+    """
     n, c, h, w = x.shape
-    ngroups = c // group
-    xd = x.data
-    out = np.empty_like(xd)
-    zero = x.dtype.type(0)
-    for b in range(n):
-        for gi in range(ngroups):
-            base = gi * group
-            for i in range(h):
-                for j in range(w):
-                    m = xd[b, base, i, j]
-                    for ch in range(1, group):
-                        v = xd[b, base + ch, i, j]
-                        if v > m:
-                            m = v
-                    e = [np.exp(xd[b, base + ch, i, j] - m) for ch in range(group)]
-                    s = zero
-                    for ch in range(group):
-                        s = s + e[ch]
-                    for ch in range(group):
-                        out[b, base + ch, i, j] = e[ch] / s
-    return Tensor(out)
+    xg = x.data.reshape(n, c // group, group, h, w)
+    m = xg[:, :, 0]
+    for ch in range(1, group):
+        m = np.where(xg[:, :, ch] > m, xg[:, :, ch], m)
+    e = np.exp(xg - m[:, :, None]).reshape(n, c, h, w)
+    return Tensor(_over_group_sum(e, group))
 
 
 def affine_norm_direct(x: Tensor, p: AffineNormParams, eps: float = 1e-5) -> Tensor:
-    """Channel standardization with the exact tier's (batch,row)-then-col tree."""
+    """Channel standardization; mean and variance each take _column_tree.
+
+    Fold axes j, b, i; array axis the channel.
+    """
     n, c, h, w = x.shape
-    xd = x.data
-    zero = x.dtype.type(0)
     count = x.dtype.type(n * h * w)
-    eps_t = x.dtype.type(eps)
-    one = x.dtype.type(1)
-    out = np.empty_like(xd)
-    for ch in range(c):
-        tot = zero
-        for j in range(w):
-            col = zero
-            for b in range(n):
-                for i in range(h):
-                    col = col + xd[b, ch, i, j]
-            tot = tot + col
-        mean = tot / count
-        tot2 = zero
-        for j in range(w):
-            col = zero
-            for b in range(n):
-                for i in range(h):
-                    d = xd[b, ch, i, j] - mean
-                    col = col + d * d
-            tot2 = tot2 + col
-        var = tot2 / count
-        inv = one / np.sqrt(var + eps_t)
-        for b in range(n):
-            for i in range(h):
-                for j in range(w):
-                    d = xd[b, ch, i, j] - mean
-                    out[b, ch, i, j] = p.gamma[ch] * (d * inv) + p.beta[ch]
-    return Tensor(out)
+    mean = _column_tree(x.data) / count
+    d = x.data - mean[:, None, None]
+    var = _column_tree(d * d) / count
+    inv = x.dtype.type(1) / np.sqrt(var + x.dtype.type(eps))
+    return Tensor(p.gamma[:, None, None] * (d * inv[:, None, None])
+                  + p.beta[:, None, None])
 
 
 def relu_direct(x: Tensor) -> Tensor:
@@ -242,100 +217,69 @@ def relu_direct(x: Tensor) -> Tensor:
     return Tensor(out)
 
 
-def reassemble_direct(x: Tensor, kf: KernelField, cfg: CarafeConfig) -> Tensor:
-    """Per-location weighted window sum, offsets folded row-major.
+def _reassembly_taps(x: Tensor, cfg: CarafeConfig
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(xp, rows, cols): x zero-padded by r = k//2, and per offset q the
+    padded row (k*k, h_out, 1) and col (k*k, 1, w_out) each target reads,
+    so xp[..., rows[q], cols[q]] is offset q's tap of every target. Down
+    maps target t to source sigma*t, up to t // sigma."""
+    h_out, w_out = cfg.output_hw(*x.shape[2:])
+    k, sig = cfg.k_reassembly, cfg.sigma
+    r = k // 2
+    si, sj = np.arange(h_out), np.arange(w_out)
+    si, sj = (si * sig, sj * sig) if cfg.direction == "down" else (si // sig, sj // sig)
+    dn, dm = np.array(kernel_offsets(k)).T
+    xp = np.pad(x.data, ((0, 0), (0, 0), (r, r), (r, r)))
+    return xp, (r + dn)[:, None, None] + si[:, None], (r + dm)[:, None, None] + sj
 
-    Out-of-bounds taps contribute an explicit weight * 0.0 term (not a skip)
+
+def reassemble_direct(x: Tensor, kf: KernelField, cfg: CarafeConfig) -> Tensor:
+    """Per-location weighted window sum.
+
+    Fold axis: offsets q ascending (row-major); array axes b, ch, oi, oj.
+    Off-map taps contribute an explicit weight * 0.0 term (not a skip)
     to mirror the exact tier's padded reads, signed zeros included.
     """
-    n, c, h, w = x.shape
-    h_out, w_out = cfg.output_hw(h, w)
-    k = cfg.k_reassembly
-    offs = kernel_offsets(k)
-    xd = x.data
+    xp, rows, cols = _reassembly_taps(x, cfg)
     kd = kf.tensor.data
-    zero = x.dtype.type(0)
-    out = np.empty((n, c, h_out, w_out), dtype=x.dtype)
-    for b in range(n):
-        for ch in range(c):
-            for oi in range(h_out):
-                for oj in range(w_out):
-                    si, sj = map_target_to_source((oi, oj), cfg)
-                    acc = zero
-                    for q, (dn, dm) in enumerate(offs):
-                        ii = si + dn
-                        jj = sj + dm
-                        v = xd[b, ch, ii, jj] if 0 <= ii < h and 0 <= jj < w else zero
-                        acc = acc + kd[b, q, oi, oj] * v
-                    out[b, ch, oi, oj] = acc
-    return Tensor(out)
+    acc = np.zeros((x.shape[0], x.shape[1]) + kd.shape[2:], dtype=x.dtype)
+    for q in range(kd.shape[1]):
+        acc = acc + kd[:, q, None] * xp[:, :, rows[q], cols[q]]
+    return Tensor(acc)
 
 
 def reassemble_backward_direct(grad_y: Tensor, x: Tensor, kf: KernelField,
                                cfg: CarafeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Adjoint twin; returns (grad_x, grad_kernel_field).
 
-    The source-map scatter folds offsets in ascending q; within one offset
-    of the upsampling direction, sub-pixel phases (di, dj) go row-major.
-    The kernel gradient folds feature channels in ascending order.
+    Source gradient: fold axes offsets q ascending and, inside one offset of
+    the upsampling direction, sub-pixel phases (di, dj) row-major; array
+    axes b, ch and the phase's targets, whose sources are distinct, so each
+    step is one add into the padded map. Kernel gradient: fold axis the
+    feature channel ascending; array axes b, q, oi, oj.
     """
-    n, c, h, w = x.shape
-    h_out, w_out = cfg.output_hw(h, w)
-    k = cfg.k_reassembly
-    r = k // 2
-    sig = cfg.sigma
-    offs = kernel_offsets(k)
+    xp, rows, cols = _reassembly_taps(x, cfg)
     go = grad_y.data
     kd = kf.tensor.data
-    xd = x.data
-    zero = x.dtype.type(0)
-    gxp = np.zeros((n, c, h + 2 * r, w + 2 * r), dtype=x.dtype)
-    if cfg.direction == "down":
-        for q, (dn, dm) in enumerate(offs):
-            for b in range(n):
-                for ch in range(c):
-                    for oi in range(h_out):
-                        for oj in range(w_out):
-                            gxp[b, ch, r + dn + sig * oi, r + dm + sig * oj] += \
-                                kd[b, q, oi, oj] * go[b, ch, oi, oj]
-    else:
-        for q, (dn, dm) in enumerate(offs):
-            for di in range(sig):
-                for dj in range(sig):
-                    for b in range(n):
-                        for ch in range(c):
-                            for i in range(h):
-                                for j in range(w):
-                                    gxp[b, ch, r + dn + i, r + dm + j] += \
-                                        kd[b, q, sig * i + di, sig * j + dj] * \
-                                        go[b, ch, sig * i + di, sig * j + dj]
+    ph = cfg.sigma if cfg.direction == "up" else 1
+    gxp = np.zeros_like(xp)
+    for q in range(kd.shape[1]):
+        for di in range(ph):
+            for dj in range(ph):
+                gxp[:, :, rows[q, di::ph], cols[q, :, dj::ph]] += \
+                    kd[:, q, None, di::ph, dj::ph] * go[:, :, di::ph, dj::ph]
+    r, (h, w) = cfg.k_reassembly // 2, x.shape[2:]
     gx = gxp[:, :, r:r + h, r:r + w].copy()
-    gk = np.empty_like(kd)
-    for b in range(n):
-        for q, (dn, dm) in enumerate(offs):
-            for oi in range(h_out):
-                for oj in range(w_out):
-                    si, sj = map_target_to_source((oi, oj), cfg)
-                    ii = si + dn
-                    jj = sj + dm
-                    acc = zero
-                    if 0 <= ii < h and 0 <= jj < w:
-                        for ch in range(c):
-                            acc = acc + go[b, ch, oi, oj] * xd[b, ch, ii, jj]
-                    else:
-                        for ch in range(c):
-                            acc = acc + go[b, ch, oi, oj] * zero
-                    gk[b, q, oi, oj] = acc
+    gk = np.zeros_like(kd)
+    for ch in range(x.shape[1]):
+        gk = gk + go[:, ch, None] * xp[:, ch][:, rows, cols]
     return gx, gk
 
 
 def sigmoid_group_direct(x: Tensor, group: int, normalize: bool) -> Tensor:
-    """Per-element stable logistic; with normalize, each value is then
-    divided by its group's sum, which folds channels ascending."""
-    n, c, h, w = x.shape
-    xd = x.data
-    s = np.empty_like(xd)
-    flat_x, flat_s = xd.reshape(-1), s.reshape(-1)
+    """Per-element stable logistic; with normalize, then _over_group_sum."""
+    s = np.empty_like(x.data)
+    flat_x, flat_s = x.data.reshape(-1), s.reshape(-1)
     for idx in range(flat_x.size):
         z = flat_x[idx]
         if z >= 0:
@@ -343,20 +287,7 @@ def sigmoid_group_direct(x: Tensor, group: int, normalize: bool) -> Tensor:
         else:
             ez = np.exp(z)
             flat_s[idx] = ez / (1.0 + ez)
-    if not normalize:
-        return Tensor(s)
-    out = np.empty_like(xd)
-    zero = x.dtype.type(0)
-    for b in range(n):
-        for base in range(0, c, group):
-            for i in range(h):
-                for j in range(w):
-                    tot = zero
-                    for ch in range(group):
-                        tot = tot + s[b, base + ch, i, j]
-                    for ch in range(group):
-                        out[b, base + ch, i, j] = s[b, base + ch, i, j] / tot
-    return Tensor(out)
+    return Tensor(_over_group_sum(s, group) if normalize else s)
 
 
 def predict_kernels_direct(x: Tensor, params: CarafeParams,

@@ -420,6 +420,11 @@ class TestConfigFile:
         ("bench", {"sigma": "x"}), ("bench", {"warmup": "x"}),
         *[(command, {"seed": "x"}) for command in DEFAULTS],
         *[(command, {"dtype": "half"}) for command in ("bench", "train", "sweep")],
+        # Values that int() or float() would coerce into a run.
+        *[(command, {"seed": seed}) for command in DEFAULTS
+          for seed in (1.5, True, 2.0, "3")],
+        ("gradcheck", {"tol": True}), ("train", {"epochs": 1.9}),
+        ("bench", {"reps": 1.7}), ("bench", {"warmup": True}),
     ])
     def test_bad_config_value_is_usage_error(self, tmp_path, capsys, command,
                                              config):

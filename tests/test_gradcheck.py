@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from carafe import nn
-from carafe.errors import NumericError
+from carafe.errors import CarafeError, NumericError
 from carafe.gradcheck import (DEFAULT_TOL, FALLBACK_EPS, FOUR_POINT, REGISTRY,
                               CheckProblem, check_op, check_problem,
                               finite_diff, finite_diff_array, registered_ops,
@@ -174,8 +174,9 @@ class TestCheckProblem:
         arr = np.zeros(3)
         problem = CheckProblem(loss=lambda: 0.0, targets=[("x", arr)],
                                analytic=lambda: {})
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as exc:
             check_problem("broken", problem)
+        assert isinstance(exc.value, CarafeError)
 
     def test_report_payload_shape(self):
         report = check_problem("quad", self._quadratic_problem(wrong=False))
@@ -188,8 +189,9 @@ class TestCheckProblem:
 
 class TestRegistry:
     def test_unknown_op(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError) as exc:
             check_op("warp")
+        assert isinstance(exc.value, CarafeError)
 
     def test_registry_covers_core_and_baselines(self):
         ops = set(registered_ops())
