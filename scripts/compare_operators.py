@@ -58,7 +58,7 @@ def main(argv=None) -> int:
     epochs = exp["epochs"] if args.epochs is None else args.epochs
     lr = exp["lr"] if args.lr is None else args.lr
     seeds = tuple(int(s) for s in args.seeds.split(","))
-    task = ToyTask(exp["task"], size=args.size, sigma=args.sigma, seed=7)
+    task = ToyTask(exp["task"], size=args.size, sigma=args.sigma)
     # compressor_norm=True is the down direction's default anyway.
     roster = [SlotSpec("carafe", k_encoder=3, k_reassembly=args.k_reassembly,
                        c_mid=args.c_mid, compressor_norm=True)]

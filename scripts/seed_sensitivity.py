@@ -57,8 +57,8 @@ def _train(exp: dict, spec: SlotSpec, seed: int, epochs: int, tier: str):
     with nn.exact_tier(tier == "exact"):
         net = seeded_net(exp["arch"], spec, 8, task.sigma, seed)
         try:
-            metric = train(net, task, epochs, exp["lr"], seed=seed,
-                           train_count=16, eval_count=8).final_metric
+            metric = train(net, task, epochs, exp["lr"], train_count=16,
+                           eval_count=8).final_metric
         except TrainingDiverged:
             metric = None
     return metric, time.perf_counter() - start

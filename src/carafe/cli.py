@@ -189,8 +189,8 @@ def _config_value(parser, key: str, value):
     """value as its flag parses, checked, not coerced. An integer key takes
     an integer, not a bool, through nn._at_least: >= 1 for a _POSITIVE key,
     >= 0 for a _NON_NEGATIVE one, other bounds being the library's. A float
-    key takes a number, not a bool (> 0 for a _POSITIVE key), and a key
-    without a type a string. A value that fails is a usage error."""
+    key takes a finite number, not a bool (> 0 for a _POSITIVE key), and a
+    key without a type a string. A value that fails is a usage error."""
     kind = _FLAGS[key].get("type", str)
     if kind is int:
         low = 1 if key in _POSITIVE else 0 if key in _NON_NEGATIVE else -math.inf
@@ -198,11 +198,13 @@ def _config_value(parser, key: str, value):
             return _at_least(key, value, low, ValueError)
         except ValueError as exc:
             parser.error(str(exc))
-    what = "a number" if kind is float else "a string"
+    what = "a finite number" if kind is float else "a string"
     if isinstance(value, bool) or not isinstance(
             value, (int, float) if kind is float else str):
         parser.error(f"{key} must be {what}, got {value!r}")
     value = _typed(parser, key, value, kind, what)
+    if kind is float and not math.isfinite(value):
+        parser.error(f"{key} must be {what}, got {value!r}")
     if key in _POSITIVE and value <= 0:
         parser.error(f"{key} must be > 0, got {value!r}")
     return value
@@ -377,7 +379,7 @@ def _run(conf: dict, slot: SlotSpec, task: ToyTask, train_kwargs: dict):
     built, say); report is None unless the status is ok."""
     try:
         net = seeded_net(conf["arch"], slot, conf["channels"], conf["sigma"],
-                         train_kwargs["seed"], train_kwargs["dtype"])
+                         task.seed, train_kwargs["dtype"])
         return "ok", None, train(net, task, **train_kwargs)
     except TrainingDiverged as exc:
         return "diverged", str(exc), None
@@ -393,7 +395,7 @@ def _setup_run(parser, args, defaults: dict):
     task = _or_usage_error(parser, ToyTask, kind=conf["task"], size=conf["size"],
                            sigma=conf["sigma"], seed=conf["seed"])
     train_kwargs = {key: conf[key] for key in (
-        "epochs", "lr", "momentum", "weight_decay", "seed", "train_count",
+        "epochs", "lr", "momentum", "weight_decay", "train_count",
         "eval_count")}
     train_kwargs["dtype"] = _DTYPES[conf["dtype"]]
     return merged, conf, task, train_kwargs

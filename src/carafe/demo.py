@@ -436,24 +436,21 @@ def evaluate(net, task: ToyTask, count: int, dtype=np.float64) -> float:
 
 
 def train(net, task: ToyTask, epochs: int, lr: float, momentum: float = 0.9,
-          weight_decay: float = 1e-4, seed: int | None = None,
-          train_count: int = 16, eval_count: int = 8,
-          dtype=np.float64) -> TrainRunReport:
+          weight_decay: float = 1e-4, train_count: int = 16,
+          eval_count: int = 8, dtype=np.float64) -> TrainRunReport:
     """Full-batch SGD on the task's dataset.
 
-    epochs, train_count and eval_count that are not integers >= 1, and a
-    seed that is not an integer >= 0, raise ContractError before any step.
-    A step that overflows, makes an invalid value or ends at a non-finite
-    loss raises TrainingDiverged. seed defaults to task.seed and is recorded
-    in the report; the dataset itself is generated from task.seed.
+    epochs, train_count and eval_count that are not integers >= 1 raise
+    ContractError before any step. A step that overflows, makes an invalid
+    value or ends at a non-finite loss raises TrainingDiverged. The dataset
+    is generated from task.seed, and the report records it.
     """
     epochs, train_count, eval_count = (_at_least(name, value, 1, ContractError) for name, value in (
         ("epochs", epochs), ("train_count", train_count), ("eval_count", eval_count)))
-    seed = task.seed if seed is None else _at_least("seed", seed, 0, ContractError)
     x, y = dataset_batch(task, train_count, dtype)
     loss_fn = _task_loss(task)
     report = TrainRunReport(operator=getattr(net, "slot_name", "?"),
-                            task=task.kind, seed=seed,
+                            task=task.kind, seed=task.seed,
                             epochs=epochs, lr=lr,
                             metric_name=task.metric_name)
     for step in range(epochs):
@@ -495,10 +492,12 @@ def compare_operators(task: ToyTask, roster: list, seeds, arch: str,
     """Train every roster slot under identical budgets, on the caller's
     tier, and summarize.
 
-    Per (slot, seed) the net comes from seeded_net, so every operator sees
-    bitwise-equal trunk parameters and data. sd is the population standard
-    deviation. delta_vs_carafe is carafe's mean minus the row's mean when a
-    carafe row exists.
+    Each training seed replaces task's own seed, which is never read: per
+    (slot, seed) the net comes from seeded_net(seed) and the data from the
+    task at that seed, so every operator sees bitwise-equal trunk
+    parameters and data. sd is the population standard deviation.
+    delta_vs_carafe is carafe's mean minus the row's mean when a carafe row
+    exists.
     """
     if not roster:
         raise ContractError("roster must not be empty")
@@ -508,7 +507,7 @@ def compare_operators(task: ToyTask, roster: list, seeds, arch: str,
         for seed in seeds:
             net = seeded_net(arch, spec, channels, task.sigma, seed, dtype)
             rep = train(net, replace(task, seed=seed), epochs, lr, momentum,
-                        weight_decay, seed=seed, train_count=train_count,
+                        weight_decay, train_count=train_count,
                         eval_count=eval_count, dtype=dtype)
             per_seed.append(rep.final_metric)
         rows.append((spec.kind, tuple(per_seed)))

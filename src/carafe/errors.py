@@ -8,9 +8,14 @@ UnknownNameError, raised as a mapping lookup would, from KeyError.
 
 Public ops check their operands at their own boundary, each check written
 once in nn: every integer argument goes through nn._at_least (an integer,
-not a bool, at or above its bound, else the caller's error type), and
-every backward checks its incoming gradient against its forward's result
-through nn._check_grad (the shape, ShapeError, then the dtype, DTypeError).
+not a bool, at or above its bound, else the caller's error type); every
+backward checks its incoming gradient against its forward's result through
+nn._check_grad (the shape, ShapeError, then the dtype, DTypeError); and
+every op that takes a parameter container (the conv, the transposed conv
+and affine_norm, forward and backward) checks its input against it through
+nn._check_input (the channel count, ShapeError, then the dtype,
+DTypeError). The containers check their own arrays against each other
+when built, so an op compares only its input with its container.
 """
 
 

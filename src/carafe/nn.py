@@ -67,13 +67,19 @@ from .tensor import SUPPORTED_DTYPES, Tensor
 
 
 class _TrainableArrays:
-    """Bookkeeping shared by the parameter containers: each array named in
-    _ARRAYS gets zeroed grad_<name> and vel_<name> buffers of its shape, and
-    named_slots() is the one place that says which of them train."""
+    """Bookkeeping shared by the parameter containers: the arrays named in
+    _ARRAYS share one supported dtype, each gets zeroed grad_<name> and
+    vel_<name> buffers of its shape, and named_slots() is the one place that
+    says which of them train."""
 
     _ARRAYS: tuple = ()
 
     def _init_buffers(self) -> None:
+        """Ends each __post_init__: the one dtype check, then the buffers."""
+        dtypes = [getattr(self, name).dtype for name in self._ARRAYS]
+        if dtypes[0] not in SUPPORTED_DTYPES or len(set(dtypes)) > 1:
+            raise DTypeError(f"{' and '.join(self._ARRAYS)} must share dtype float32 "
+                             f"or float64, got {', '.join(map(str, dtypes))}")
         for name in self._ARRAYS:
             for buf in ("grad_", "vel_"):
                 setattr(self, buf + name, np.zeros_like(getattr(self, name)))
@@ -120,8 +126,6 @@ class ConvLayerParams(_TrainableArrays):
             raise ShapeError(f"conv kernel must be square, got {self.weights.shape}")
         if self.weights.shape[2] < 1:
             raise ShapeError("conv kernel size must be >= 1")
-        if self.weights.dtype not in SUPPORTED_DTYPES:
-            raise DTypeError(f"unsupported weight dtype {self.weights.dtype}")
         if self.bias.shape != (self.weights.shape[0],) and \
            self.bias.shape != (self.weights.shape[1],):
             raise ShapeError(
@@ -164,6 +168,16 @@ def _at_least(name: str, value, low: int, error: type) -> int:
     if value < low:
         raise error(f"{name} must be >= {low}, got {value}")
     return value
+
+
+def _check_input(x: Tensor, channels: int, dtype, what: str) -> None:
+    """The one check of an op's input against its parameter container, whose
+    array what gives the channels and dtype the op takes: the channel count
+    (ShapeError), then the dtype (DTypeError)."""
+    if x.shape[1] != channels:
+        raise ShapeError(f"input has {x.shape[1]} channels, {what} has {channels}")
+    if x.dtype != dtype:
+        raise DTypeError(f"dtype mismatch: input {x.dtype} vs {what} {dtype}")
 
 
 def _check_grad(grad: Tensor, shape: tuple, dtype) -> None:
@@ -231,15 +245,13 @@ def conv_output_hw(h: int, w: int, k: int, stride: int, pad: int) -> tuple[int, 
     return h_out, w_out
 
 
-def _check_conv_args(x: Tensor, p: ConvLayerParams) -> None:
-    if x.shape[1] != p.weights.shape[1]:
+def _check_conv_args(x: Tensor, p: ConvLayerParams, src_axis: int) -> None:
+    """x against p, whose weights axis src_axis (0 for the transposed conv)
+    is the input channel; the bias must run along the other axis."""
+    _check_input(x, p.weights.shape[src_axis], p.weights.dtype, f"weights axis {src_axis}")
+    if p.bias.shape != (p.weights.shape[1 - src_axis],):
         raise ShapeError(
-            f"input has {x.shape[1]} channels but weights expect {p.weights.shape[1]}")
-    if p.bias.shape != (p.weights.shape[0],):
-        raise ShapeError(
-            f"conv bias must have {p.weights.shape[0]} entries, got {p.bias.shape}")
-    if x.dtype != p.weights.dtype:
-        raise DTypeError(f"dtype mismatch: input {x.dtype} vs weights {p.weights.dtype}")
+            f"bias {p.bias.shape} is not on axis {1 - src_axis} of weights {p.weights.shape}")
 
 
 def _fold(a: np.ndarray, axis: int) -> np.ndarray:
@@ -505,7 +517,7 @@ def conv2d_forward(x: Tensor, p: ConvLayerParams, stride: int = 1, pad: int = 0)
 
     Output (n, c_out, (h+2p-k)//s + 1, (w+2p-k)//s + 1).
     """
-    _check_conv_args(x, p)
+    _check_conv_args(x, p, 1)
     return Tensor(_gather_taps(x.data, p.weights, stride, pad, p.bias))
 
 
@@ -520,7 +532,7 @@ def conv2d_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
     the fast tier the weights take one GEMM per block of unfolded windows
     and the bias a numpy sum.
     """
-    _check_conv_args(x, p)
+    _check_conv_args(x, p, 1)
     n, c_in, h, w = x.shape
     c_out, _, k, _ = p.weights.shape
     h_out, w_out = conv_output_hw(h, w, k, stride, pad)
@@ -568,19 +580,6 @@ def transposed_conv_output_hw(h: int, w: int, k: int, stride: int, pad: int) -> 
     return h_out, w_out
 
 
-def _check_tconv_args(x: Tensor, p: ConvLayerParams) -> None:
-    if x.shape[1] != p.weights.shape[0]:
-        raise ShapeError(
-            f"input has {x.shape[1]} channels but transposed weights expect "
-            f"{p.weights.shape[0]} (axis 0 is the source channel)")
-    if p.bias.shape != (p.weights.shape[1],):
-        raise ShapeError(
-            f"transposed conv bias must have {p.weights.shape[1]} entries, "
-            f"got {p.bias.shape}")
-    if x.dtype != p.weights.dtype:
-        raise DTypeError(f"dtype mismatch: input {x.dtype} vs weights {p.weights.dtype}")
-
-
 def transposed_conv_forward(x: Tensor, p: ConvLayerParams, stride: int = 1,
                             pad: int = 0) -> Tensor:
     """Adjoint-of-conv upsampling. Weights (c_src, c_dst, k, k).
@@ -589,7 +588,7 @@ def transposed_conv_forward(x: Tensor, p: ConvLayerParams, stride: int = 1,
     array this is conv2d_backward's grad_x: the same scatter fold, then the
     bias added once.
     """
-    _check_tconv_args(x, p)
+    _check_conv_args(x, p, 0)
     h, w = x.shape[2:]
     _, c_dst, k, _ = p.weights.shape
     h_out, w_out = transposed_conv_output_hw(h, w, k, stride, pad)
@@ -605,7 +604,7 @@ def transposed_conv_backward(grad_out: Tensor, x: Tensor, p: ConvLayerParams,
     grad_x is the gather fold from zero: conv2d_forward of grad_out with the
     same weights array and no bias.
     """
-    _check_tconv_args(x, p)
+    _check_conv_args(x, p, 0)
     n, _, h, w = x.shape
     _, c_dst, k, _ = p.weights.shape
     h_out, w_out = transposed_conv_output_hw(h, w, k, stride, pad)
@@ -713,19 +712,12 @@ def softmax_group_backward(grad_out: Tensor, y: Tensor, group: int) -> Tensor:
     return Tensor(dz.reshape(n, c, h, w))
 
 
-def _check_norm_args(x: Tensor, p: AffineNormParams) -> None:
-    if p.gamma.shape != x.shape[1:2]:
-        raise ShapeError(f"gamma has {p.gamma.shape[0]} entries for {x.shape[1]} channels")
-    if p.gamma.dtype != x.dtype:
-        raise DTypeError(f"dtype mismatch: input {x.dtype} vs gamma {p.gamma.dtype}")
-
-
 def affine_norm(x: Tensor, p: AffineNormParams, eps: float = 1e-5) -> Tensor:
     """Standardize each channel over (batch, rows, cols), then gamma/beta.
 
     The mean and the variance each take the fold tree stated at _fold.
     """
-    _check_norm_args(x, p)
+    _check_input(x, p.gamma.shape[0], p.gamma.dtype, "gamma")
     n, c, h, w = x.shape
     xd = x.data
     count = x.dtype.type(n * h * w)
@@ -749,7 +741,7 @@ def affine_norm_backward(grad_out: Tensor, x: Tensor, p: AffineNormParams,
     Accumulates grad_gamma/grad_beta and returns grad wrt x. Recomputes the
     forward statistics; no cache needed.
     """
-    _check_norm_args(x, p)
+    _check_input(x, p.gamma.shape[0], p.gamma.dtype, "gamma")
     _check_grad(grad_out, x.shape, x.dtype)
     n, c, h, w = x.shape
     xd = x.data

@@ -241,10 +241,6 @@ def _normalize_logits(cache: CarafeCache) -> KernelField:
 
 def _predict_forward(x: Tensor, params: CarafeParams, cfg: CarafeConfig
                      ) -> CarafeCache:
-    if x.shape[1] != params.compressor.weights.shape[1]:
-        raise ShapeError(
-            f"input has {x.shape[1]} channels, compressor expects "
-            f"{params.compressor.weights.shape[1]}")
     if params.encoder.weights.shape[0] != cfg.encoder_out_channels:
         raise ShapeError(
             f"encoder emits {params.encoder.weights.shape[0]} channels, config "

@@ -345,6 +345,9 @@ _POSITIVE_CASES = [("gradcheck", "eps"), ("bench", "sigma"), ("bench", "reps"),
     (command, key) for command in ("train", "sweep")
     for key in ("sigma", "epochs", "train_count", "eval_count")] + [
     (command, "threads") for command in ("gradcheck", "bench", "train", "sweep")]
+# Every command's float keys.
+_FLOAT_CASES = [(command, key) for command, defaults in DEFAULTS.items()
+                for key in defaults if cli._FLAGS[key].get("type") is float]
 _SMALL = {
     "gradcheck": {"ops": "relu"},
     "bench": {"ops": "nearest_up", "shape": "1,1,4,4", "reps": 1},
@@ -386,6 +389,24 @@ class TestPositiveSettings:
         argv = [command, "--config", str(cfg), "--out", str(out)]
         if by == "flag":
             argv += ["--seed", "-1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("by", ["flag", "file"])
+    @pytest.mark.parametrize("command, key", _FLOAT_CASES)
+    def test_non_finite_float_is_usage_error_before_any_report(
+            self, tmp_path, capsys, command, key, by, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**_SMALL[command],
+                                   **({key: float(value)} if by == "file" else {})}))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg), "--out", str(out)]
+        if by == "flag":
+            argv.append(f"--{key.replace('_', '-')}={value}")
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

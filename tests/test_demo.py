@@ -216,7 +216,7 @@ class TestTraining:
         rs, rl = _rngs(0)
         net = build_net("upsampler", SlotSpec("carafe", c_mid=4), channels=4,
                         sigma=2, rng_shared=rs, rng_slot=rl, dtype=np.float64)
-        report = train(net, task, epochs=4, lr=0.0, seed=0, train_count=4,
+        report = train(net, task, epochs=4, lr=0.0, train_count=4,
                        eval_count=2)
         assert len(set(report.losses)) == 1
 
@@ -225,7 +225,7 @@ class TestTraining:
         rs, rl = _rngs(1)
         net = build_net("upsampler", SlotSpec("carafe", c_mid=4), channels=4,
                         sigma=2, rng_shared=rs, rng_slot=rl, dtype=np.float64)
-        report = train(net, task, epochs=25, lr=0.05, seed=0, train_count=6,
+        report = train(net, task, epochs=25, lr=0.05, train_count=6,
                        eval_count=2)
         assert report.losses[-1] < report.losses[0]
         assert report.final_loss == report.losses[-1]
@@ -236,7 +236,7 @@ class TestTraining:
         net = build_net("upsampler", SlotSpec("nearest_plus_conv"), channels=4,
                         sigma=2, rng_shared=rs, rng_slot=rl, dtype=np.float64)
         with pytest.raises(TrainingDiverged):
-            train(net, task, epochs=200, lr=50.0, seed=0, train_count=4,
+            train(net, task, epochs=200, lr=50.0, train_count=4,
                   eval_count=2)
 
     def test_divergence_raises_before_any_numpy_warning(self):
@@ -249,7 +249,7 @@ class TestTraining:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDiverged, match="at step"):
-                train(net, task, epochs=300, lr=1000.0, seed=0, train_count=4,
+                train(net, task, epochs=300, lr=1000.0, train_count=4,
                       eval_count=2)
 
     @pytest.mark.parametrize("bad", [{"epochs": 0}, {"train_count": 0},
@@ -266,7 +266,7 @@ class TestTraining:
         net.forward = lambda x: calls.append(x) or forward(x)
         counts = {"epochs": 5, "train_count": 4, "eval_count": 2, **bad}
         with pytest.raises(ContractError, match=f"{next(iter(bad))} must be"):
-            train(net, task, lr=0.01, seed=0, **counts)
+            train(net, task, lr=0.01, **counts)
         assert len(calls) == 0
 
     def test_report_payload_excludes_wall_time(self):
@@ -274,7 +274,7 @@ class TestTraining:
         rs, rl = _rngs(3)
         net = build_net("bottleneck", SlotSpec("avg_pool"), channels=4,
                         sigma=2, rng_shared=rs, rng_slot=rl, dtype=np.float64)
-        report = train(net, task, epochs=3, lr=0.01, seed=0, train_count=4,
+        report = train(net, task, epochs=3, lr=0.01, train_count=4,
                        eval_count=2)
         payload = report.to_payload()
         assert "wall_time_s" not in payload
