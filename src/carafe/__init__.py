@@ -13,14 +13,12 @@ plain numpy arrays.
 __version__ = "0.1.0"
 
 from .baselines import (DOWN_KINDS, UP_KINDS, ResampleOp, deconv_geometry,
-                        make_resample_op, resample_backward, resample_forward,
-                        resample_output_hw)
+                        make_resample_op, resample_backward, resample_forward)
 from .errors import (CarafeError, ContractError, DTypeError, FormatError,
                      GeometryError, KernelSizeError, NumericError, ShapeError,
                      TrainingDiverged, UnknownNameError)
 from .fileio import load_pgm, load_tensor, save_pgm, save_tensor
-from .gradcheck import (GradReport, check_op, finite_diff, registered_ops,
-                        relative_error)
+from .gradcheck import GradReport, check_op, registered_ops, relative_error
 from .nn import (AffineNormParams, ConvLayerParams, affine_norm,
                  affine_norm_backward, affine_params, conv2d_backward,
                  conv2d_forward, conv_output_hw, conv_params, pixel_shuffle,
@@ -51,8 +49,7 @@ __all__ = [
     "map_target_to_source", "kernel_offsets", "predict_kernels", "reassemble",
     "reassemble_backward", "carafe_forward", "carafe_backward",
     "ResampleOp", "make_resample_op", "resample_forward", "resample_backward",
-    "resample_output_hw", "deconv_geometry", "UP_KINDS", "DOWN_KINDS",
-    "GradReport", "finite_diff", "relative_error", "check_op",
-    "registered_ops",
+    "deconv_geometry", "UP_KINDS", "DOWN_KINDS",
+    "GradReport", "relative_error", "check_op", "registered_ops",
     "save_tensor", "load_tensor", "load_pgm", "save_pgm",
 ]

@@ -322,11 +322,6 @@ def make_resample_op(kind: str, sigma: int, channels: int | None = None,
     return ResampleOp(kind=kind, sigma=sigma, direction=inferred, params=params)
 
 
-def resample_output_hw(op: ResampleOp, h: int, w: int) -> tuple[int, int]:
-    """The content-aware operator's output size for op's direction and sigma."""
-    return CarafeConfig(op.direction, op.sigma).output_hw(h, w)
-
-
 def resample_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
     """Apply the operator; returns (output, cache for resample_backward),
     the cache holding the output's (shape, dtype) under "out"."""

@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .demo import (ARCHITECTURES, SLOT_KINDS, TASK_KINDS, SlotSpec, ToyTask,
                    make_slot_layer, seeded_net, train)
-from .errors import CarafeError, TrainingDiverged
+from .errors import CarafeError, NumericError, TrainingDiverged
 from .gradcheck import check_op, registered_ops
 from .nn import _at_least, exact_tier
 from .reassembly import NORMALIZERS
@@ -280,16 +280,24 @@ def _out_dir(conf: dict) -> Path:
 # gradcheck
 
 
+def _check_one(name: str, conf: dict) -> dict:
+    """check_op's payload for one op; a loss that goes non-finite under the
+    differences fails the op with the message, and the other ops still run."""
+    try:
+        return check_op(name, seed=conf["seed"], tol=conf["tol"],
+                        eps=conf["eps"]).to_payload()
+    except NumericError as exc:
+        return {"op": name, "passed": False, "error": str(exc)}
+
+
 def _cmd_gradcheck(parser, args) -> int:
     merged, conf = _load_config(parser, args, _GRADCHECK_DEFAULTS)
     registry = registered_ops()
     names = (registry if conf["ops"] == "all"
              else _parse_list(parser, "ops", conf["ops"], choices=registry))
-    results = [check_op(name, seed=conf["seed"], tol=conf["tol"], eps=conf["eps"])
-               for name in names]
     payload = _stanza("gradcheck", merged)
-    payload["results"] = [r.to_payload() for r in results]
-    payload["passed"] = all(r.passed for r in results)
+    payload["results"] = [_check_one(name, conf) for name in names]
+    payload["passed"] = all(r["passed"] for r in payload["results"])
     out = _out_dir(conf)
     _write_json(out / "gradcheck.json", payload)
     print(json.dumps(payload, indent=2, sort_keys=True))

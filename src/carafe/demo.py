@@ -23,8 +23,8 @@ import numpy as np
 from .baselines import (ALL_KINDS, make_resample_op, resample_backward,
                         resample_forward)
 from .errors import ContractError, GeometryError, ShapeError, TrainingDiverged
-from .nn import (_at_least, conv2d_backward, conv2d_forward, conv_params,
-                 relu, relu_backward, sgd_step, sigmoid_array)
+from .nn import (_Params, _at_least, conv2d_backward, conv2d_forward,
+                 conv_params, relu, relu_backward, sgd_step, sigmoid_array)
 from .reassembly import (CarafeConfig, carafe_backward, carafe_forward,
                          carafe_params)
 from .tensor import Tensor
@@ -194,11 +194,10 @@ class ConvLayer:
     def backward(self, grad: Tensor) -> Tensor:
         return conv2d_backward(grad, self._x, self.params, self.stride, self.pad)
 
-    def param_objects(self) -> list:
-        return [self.params]
-
 
 class ReluLayer:
+    params = None
+
     def __init__(self):
         self._x = None
 
@@ -208,9 +207,6 @@ class ReluLayer:
 
     def backward(self, grad: Tensor) -> Tensor:
         return relu_backward(grad, self._x)
-
-    def param_objects(self) -> list:
-        return []
 
 
 class CarafeLayer:
@@ -227,9 +223,6 @@ class CarafeLayer:
     def backward(self, grad: Tensor) -> Tensor:
         return carafe_backward(grad, self._cache)
 
-    def param_objects(self) -> list:
-        return self.params.param_objects()
-
 
 class BaselineLayer:
     def __init__(self, op):
@@ -237,15 +230,16 @@ class BaselineLayer:
         self.direction = op.direction
         self._cache = None
 
+    @property
+    def params(self):
+        return self.op.params
+
     def forward(self, x: Tensor) -> Tensor:
         y, self._cache = resample_forward(self.op, x)
         return y
 
     def backward(self, grad: Tensor) -> Tensor:
         return resample_backward(self.op, grad, self._cache)
-
-    def param_objects(self) -> list:
-        return [self.op.params] if self.op.params is not None else []
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +270,9 @@ def make_slot_layer(spec: SlotSpec, direction: Optional[str], sigma: int,
                                           direction=direction))
 
 
-class MiniNet:
-    """A straight stack of layers with one designated resampler slot."""
+class MiniNet(_Params):
+    """A straight stack of layers with one designated resampler slot; its
+    parameter parts are named by layer index."""
 
     def __init__(self, layers: list, slot_name: str):
         self.layers = layers
@@ -293,19 +288,16 @@ class MiniNet:
             grad = layer.backward(grad)
         return grad
 
-    def param_objects(self) -> list:
-        out = []
-        for layer in self.layers:
-            out.extend(layer.param_objects())
-        return out
-
-    def zero_grads(self) -> None:
-        for obj in self.param_objects():
-            obj.zero_grads()
+    def _parts(self) -> list:
+        return [(str(i), layer.params) for i, layer in enumerate(self.layers)
+                if layer.params is not None]
 
 
-class MiniFpn:
-    """Two-level top-down fusion: lateral 1x1s, one upsampling slot, one add."""
+class MiniFpn(_Params):
+    """Two-level top-down fusion: lateral 1x1s, one upsampling slot, one add.
+    Its parameter parts are named by attribute."""
+
+    _LAYERS = ("stem", "down", "lat_hi", "lat_lo", "slot", "head")
 
     def __init__(self, stem, down, lat_hi, lat_lo, slot, head, slot_name: str):
         self.stem = stem
@@ -333,16 +325,9 @@ class MiniFpn:
         g_c1 = Tensor(g_c1_lat.data + g_c1_down.data)
         return self.stem.backward(self._relu1.backward(g_c1))
 
-    def param_objects(self) -> list:
-        out = []
-        for part in (self.stem, self.down, self.lat_hi, self.lat_lo,
-                     self.slot, self.head):
-            out.extend(part.param_objects())
-        return out
-
-    def zero_grads(self) -> None:
-        for obj in self.param_objects():
-            obj.zero_grads()
+    def _parts(self) -> list:
+        return [(name, getattr(self, name).params) for name in self._LAYERS
+                if getattr(self, name).params is not None]
 
 
 def build_net(arch: str, slot: SlotSpec, channels: int, sigma: int,
@@ -463,7 +448,7 @@ def train(net, task: ToyTask, epochs: int, lr: float, momentum: float = 0.9,
                 report.losses.append(loss)
                 net.zero_grads()
                 net.backward(grad)
-                sgd_step(net.param_objects(), lr, momentum, weight_decay)
+                sgd_step(net, lr, momentum, weight_decay)
         except FloatingPointError as exc:
             raise TrainingDiverged(
                 f"{exc} at step {step} "
@@ -486,11 +471,10 @@ class OperatorSummary:
 
 def compare_operators(task: ToyTask, roster: list, seeds, arch: str,
                       channels: int = 8, epochs: int = 40, lr: float = 0.05,
-                      momentum: float = 0.9, weight_decay: float = 1e-4,
-                      train_count: int = 16, eval_count: int = 8,
-                      dtype=np.float64) -> list[OperatorSummary]:
-    """Train every roster slot under identical budgets, on the caller's
-    tier, and summarize.
+                      train_count: int = 16, eval_count: int = 8
+                      ) -> list[OperatorSummary]:
+    """Train every roster slot under identical budgets, with train's
+    momentum, weight decay and dtype, on the caller's tier, and summarize.
 
     Each training seed replaces task's own seed, which is never read: per
     (slot, seed) the net comes from seeded_net(seed) and the data from the
@@ -505,10 +489,9 @@ def compare_operators(task: ToyTask, roster: list, seeds, arch: str,
     for spec in roster:
         per_seed = []
         for seed in seeds:
-            net = seeded_net(arch, spec, channels, task.sigma, seed, dtype)
-            rep = train(net, replace(task, seed=seed), epochs, lr, momentum,
-                        weight_decay, train_count=train_count,
-                        eval_count=eval_count, dtype=dtype)
+            net = seeded_net(arch, spec, channels, task.sigma, seed)
+            rep = train(net, replace(task, seed=seed), epochs, lr,
+                        train_count=train_count, eval_count=eval_count)
             per_seed.append(rep.final_metric)
         rows.append((spec.kind, tuple(per_seed)))
     carafe_mean = None

@@ -102,14 +102,6 @@ def finite_diff_array(loss_fn: Callable[[], float], arr: np.ndarray,
     return grad
 
 
-def finite_diff(f: Callable[[Tensor], float], x: Tensor,
-                eps: float = DEFAULT_EPS) -> Tensor:
-    """Central-difference gradient of a scalar function of one tensor."""
-    arr = x.data.copy()
-    grad = finite_diff_array(lambda: float(f(Tensor(arr))), arr, eps)
-    return Tensor(grad)
-
-
 @dataclass
 class CheckProblem:
     """One prepared gradcheck: a loss over live arrays plus analytic grads.

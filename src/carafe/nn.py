@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DTypeError, GeometryError, ShapeError
+from .errors import ContractError, DTypeError, GeometryError, ShapeError
 from .tensor import SUPPORTED_DTYPES, Tensor
 
 
@@ -66,11 +66,42 @@ from .tensor import SUPPORTED_DTYPES, Tensor
 # parameter containers
 
 
-class _TrainableArrays:
-    """Bookkeeping shared by the parameter containers: the arrays named in
-    _ARRAYS share one supported dtype, each gets zeroed grad_<name> and
-    vel_<name> buffers of its shape, and named_slots() is the one place that
-    says which of them train."""
+class _Params:
+    """A holder of trainable arrays, walked as a tree.
+
+    A holder names its parts once, in _parts(): (name, holder) pairs, in
+    the order the optimizer visits them. Every walk follows from that:
+    named_slots() yields each array under its dotted path
+    ("2.compressor.weights"), slots() drops the names, param_objects()
+    lists the leaf containers and zero_grads() zeroes them.
+    _TrainableArrays is the leaf that owns the arrays.
+    """
+
+    def _parts(self) -> list:
+        raise NotImplementedError
+
+    def param_objects(self) -> list:
+        return [obj for _, part in self._parts() for obj in part.param_objects()]
+
+    def named_slots(self):
+        """Yield (path, value, grad, vel) for each trainable array."""
+        for prefix, part in self._parts():
+            for name, *slot in part.named_slots():
+                yield (f"{prefix}.{name}", *slot)
+
+    def slots(self):
+        return [slot[1:] for slot in self.named_slots()]
+
+    def zero_grads(self) -> None:
+        for obj in self.param_objects():
+            obj.zero_grads()
+
+
+class _TrainableArrays(_Params):
+    """The leaf of the parameter tree: the arrays named in _ARRAYS share one
+    supported dtype, each gets zeroed grad_<name> and vel_<name> buffers of
+    its shape, and named_slots() is the one place that says which of them
+    train."""
 
     _ARRAYS: tuple = ()
 
@@ -87,6 +118,9 @@ class _TrainableArrays:
     def _trainable(self) -> tuple:
         return self._ARRAYS
 
+    def param_objects(self) -> list:
+        return [self]
+
     def zero_grads(self) -> None:
         for name in self._ARRAYS:
             getattr(self, "grad_" + name)[...] = 0
@@ -96,9 +130,6 @@ class _TrainableArrays:
         for name in self._trainable():
             yield (name, getattr(self, name), getattr(self, "grad_" + name),
                    getattr(self, "vel_" + name))
-
-    def slots(self):
-        return [slot[1:] for slot in self.named_slots()]
 
 
 @dataclass
@@ -768,15 +799,20 @@ def affine_norm_backward(grad_out: Tensor, x: Tensor, p: AffineNormParams,
 
 
 def _param_objects(params) -> list:
-    if hasattr(params, "slots"):
-        return [params]
-    return list(params)
+    """The leaf containers under one holder or an iterable of holders."""
+    holders = list(params) if hasattr(params, "__iter__") else [params]
+    bad = [type(h).__name__ for h in holders if not isinstance(h, _Params)]
+    if bad:
+        raise ContractError(f"expected parameter holders, got {', '.join(bad)}")
+    return [obj for holder in holders for obj in holder.param_objects()]
 
 
 def sgd_step(params, lr: float, momentum: float = 0.0, weight_decay: float = 0.0) -> None:
     """Heavy-ball SGD: v <- momentum*v + g + weight_decay*p; p <- p - lr*v.
 
-    Accepts a single parameter container or an iterable of them.
+    params is one holder of trainable arrays (a parameter container, a
+    CarafeParams or a whole demo net) or an iterable of holders; anything
+    else raises ContractError. The arrays step in tree order.
     """
     for obj in _param_objects(params):
         for value, grad, vel in obj.slots():
@@ -788,5 +824,6 @@ def sgd_step(params, lr: float, momentum: float = 0.0, weight_decay: float = 0.0
 
 
 def zero_grads(params) -> None:
+    """Zero every gradient buffer under params, which it takes as sgd_step does."""
     for obj in _param_objects(params):
         obj.zero_grads()

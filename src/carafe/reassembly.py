@@ -49,8 +49,8 @@ import numpy as np
 from . import nn
 from .errors import (ContractError, DTypeError, GeometryError,
                      KernelSizeError, ShapeError)
-from .nn import (AffineNormParams, ConvLayerParams, _at_least, _check_grad, _fold,
-                 affine_norm, affine_norm_backward, affine_params,
+from .nn import (AffineNormParams, ConvLayerParams, _Params, _at_least, _check_grad,
+                 _fold, affine_norm, affine_norm_backward, affine_params,
                  conv2d_backward, conv2d_forward, conv_params, pixel_shuffle,
                  pixel_unshuffle, relu, relu_backward, sigmoid_array,
                  softmax_group, softmax_group_backward)
@@ -141,33 +141,17 @@ class KernelField:
 
 
 @dataclass
-class CarafeParams:
+class CarafeParams(_Params):
     """Learnables of the kernel-prediction pipeline."""
 
     compressor: ConvLayerParams
     encoder: ConvLayerParams
     norm: Optional[AffineNormParams] = None
 
-    def _stages(self) -> list:
+    def _parts(self) -> list:
         """(field name, container) of each stage present, in field order."""
         return [(f.name, getattr(self, f.name)) for f in fields(self)
                 if getattr(self, f.name) is not None]
-
-    def param_objects(self) -> list:
-        return [obj for _, obj in self._stages()]
-
-    def named_slots(self):
-        """(stage.name, value, grad, vel) for each trainable array."""
-        for stage, obj in self._stages():
-            for name, *slot in obj.named_slots():
-                yield (f"{stage}.{name}", *slot)
-
-    def slots(self):
-        return [slot[1:] for slot in self.named_slots()]
-
-    def zero_grads(self) -> None:
-        for obj in self.param_objects():
-            obj.zero_grads()
 
 
 def carafe_params(c_in: int, cfg: CarafeConfig, rng: np.random.Generator | None,

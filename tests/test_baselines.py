@@ -13,9 +13,10 @@ import pytest
 
 from carafe.baselines import (ALL_KINDS, DOWN_KINDS, UP_KINDS, deconv_geometry,
                               make_resample_op, resample_backward,
-                              resample_forward, resample_output_hw)
+                              resample_forward)
 from carafe.errors import GeometryError
 from carafe.nn import conv2d_forward, sigmoid_array, transposed_conv_forward
+from carafe.reassembly import CarafeConfig
 from carafe.tensor import Tensor
 
 
@@ -53,8 +54,8 @@ class TestConstruction:
     def test_output_hw(self):
         up = make_resample_op("nearest_up", 3)
         down = make_resample_op("avg_pool", 3)
-        assert resample_output_hw(up, 4, 5) == (12, 15)
-        assert resample_output_hw(down, 10, 9) == (4, 3)
+        assert CarafeConfig(up.direction, up.sigma).output_hw(4, 5) == (12, 15)
+        assert CarafeConfig(down.direction, down.sigma).output_hw(10, 9) == (4, 3)
 
     @pytest.mark.parametrize("sigma,k,pad", [(1, 1, 0), (2, 4, 1), (3, 5, 1),
                                              (4, 8, 2)])

@@ -180,6 +180,22 @@ class TestGradcheckCommand:
         payload = _read_json(tmp_path / "gradcheck.json")
         assert payload["passed"] is False
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_loss_fails_its_op_and_the_rest_still_run(self, tmp_path):
+        # eps 1e308 steps conv2d's loss to +-inf; relu's stays finite
+        rc = main(["gradcheck", "--ops", "conv2d,relu", "--eps", "1e308",
+                   "--out", str(tmp_path)])
+        assert rc == 1
+        text = (tmp_path / "gradcheck.json").read_text()
+        payload = json.loads(text, parse_constant=pytest.fail)
+        assert payload["passed"] is False
+        conv, relu = payload["results"]
+        assert conv == {"op": "conv2d", "passed": False,
+                        "error": "loss is non-finite at perturbed element 0: "
+                                 "f at steps (1, -1) = [inf, -inf]"}
+        assert relu["op"] == "relu" and relu["passed"] is True
+        assert relu["max_rel_error"] < 1e-11
+
     def test_stanza_records_config_and_seed(self, tmp_path):
         main(["gradcheck", "--ops", "relu", "--seed", "3",
               "--out", str(tmp_path)])

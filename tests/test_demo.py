@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from carafe.demo import (ARCHITECTURES, TASK_KINDS, SlotSpec, ToyTask,
-                         bce_logits_loss, build_net, compare_operators,
-                         dataset_batch, evaluate, iou, make_dataset, mse_loss,
-                         psnr, train)
+from carafe.demo import (ARCHITECTURES, TASK_KINDS, ReluLayer, SlotSpec,
+                         ToyTask, bce_logits_loss, build_net,
+                         compare_operators, dataset_batch, evaluate, iou,
+                         make_dataset, mse_loss, psnr, seeded_net, train)
 from carafe.errors import ContractError, TrainingDiverged
+from carafe.nn import sgd_step, zero_grads
 from carafe.tensor import Tensor
 
 
@@ -208,6 +209,104 @@ class TestNetworks:
         for obj in net.param_objects():
             for _, g, _ in obj.slots():
                 assert np.all(g == 0.0)
+
+
+def _filled_net(arch):
+    """A seeded carafe-slot net whose gradients one backward has filled."""
+    net = seeded_net(arch, SlotSpec("carafe", c_mid=4), 4, 2, 10)
+    x = Tensor(np.random.default_rng(11).standard_normal((1, 1, 8, 8)))
+    y = net.forward(x)
+    _, grad = mse_loss(y, Tensor(np.zeros_like(y.data)))
+    net.backward(grad)
+    return net
+
+
+def _net_arrays(net):
+    """Copy of every array of every container of net, in walk order."""
+    return [value.copy() for obj in net.param_objects()
+            for value in vars(obj).values() if isinstance(value, np.ndarray)]
+
+
+def _bit_equal(arrays, others):
+    return len(arrays) == len(others) and all(
+        np.array_equal(a, b) for a, b in zip(arrays, others))
+
+
+class TestParamTree:
+    """A net is one holder of trainable arrays: its walks follow from the
+    parts it names, and the optimizer takes it whole."""
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_net_steps_like_its_param_objects(self, arch):
+        whole, parts = _filled_net(arch), _filled_net(arch)
+        before = _net_arrays(whole)
+        sgd_step(whole, lr=0.1, momentum=0.9, weight_decay=1e-3)
+        sgd_step(parts.param_objects(), lr=0.1, momentum=0.9, weight_decay=1e-3)
+        stepped = _net_arrays(whole)
+        assert _bit_equal(stepped, _net_arrays(parts))
+        assert not _bit_equal(before, stepped)
+        zero_grads(whole)
+        for obj in parts.param_objects():
+            obj.zero_grads()
+        assert _bit_equal(_net_arrays(whole), _net_arrays(parts))
+        assert not any(grad.any() for _, _, grad, _ in whole.named_slots())
+
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_param_objects_order_is_pinned(self, arch):
+        net = _filled_net(arch)
+        if arch == "fpn":
+            carafe = net.slot.params
+            want = [net.stem.params, net.down.params, net.lat_hi.params,
+                    net.lat_lo.params, carafe.compressor, carafe.encoder,
+                    net.head.params]
+        elif arch == "upsampler":
+            carafe = net.layers[2].params
+            want = [net.layers[0].params, carafe.compressor, carafe.encoder,
+                    net.layers[3].params]
+        else:
+            carafe = net.layers[2].params
+            want = [net.layers[0].params, carafe.compressor, carafe.encoder,
+                    carafe.norm, net.layers[3].params, net.layers[6].params]
+        got = net.param_objects()
+        assert len(got) == len(want)
+        assert all(a is b for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("arch,names", [
+        ("upsampler", ["0.weights", "0.bias", "2.compressor.weights",
+                       "2.compressor.bias", "2.encoder.weights",
+                       "2.encoder.bias", "3.weights", "3.bias"]),
+        ("fpn", ["stem.weights", "stem.bias", "down.weights", "down.bias",
+                 "lat_hi.weights", "lat_hi.bias", "lat_lo.weights",
+                 "lat_lo.bias", "slot.compressor.weights",
+                 "slot.compressor.bias", "slot.encoder.weights",
+                 "slot.encoder.bias", "head.weights", "head.bias"]),
+    ])
+    def test_named_slots_name_each_array_by_path(self, arch, names):
+        net = _filled_net(arch)
+        named = list(net.named_slots())
+        assert [name for name, *_ in named] == names
+        plain = [slot for obj in net.param_objects() for slot in obj.slots()]
+        assert len(plain) == len(named)
+        for (_, *a), b in zip(named, plain):
+            assert all(x is y for x, y in zip(a, b, strict=True))
+
+    def test_baseline_slot_names_its_conv_or_nothing(self):
+        rs, rl = _rngs(12)
+        learned = build_net("upsampler", SlotSpec("transposed_conv"), channels=4,
+                            sigma=2, rng_shared=rs, rng_slot=rl)
+        fixed = build_net("upsampler", SlotSpec("bilinear_up"), channels=4,
+                          sigma=2, rng_shared=rs, rng_slot=rl)
+        assert [n for n, *_ in learned.named_slots()] == [
+            "0.weights", "0.bias", "2.weights", "2.bias", "3.weights", "3.bias"]
+        assert [n for n, *_ in fixed.named_slots()] == [
+            "0.weights", "0.bias", "3.weights", "3.bias"]
+
+    @pytest.mark.parametrize("bad", [ReluLayer(), 3, [ReluLayer()]],
+                             ids=["relu_layer", "int", "list_of_relu_layer"])
+    def test_non_holders_raise_contract_error(self, bad):
+        for walk in (lambda p: sgd_step(p, 0.1), zero_grads):
+            with pytest.raises(ContractError):
+                walk(bad)
 
 
 class TestTraining:
