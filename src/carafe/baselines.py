@@ -14,6 +14,10 @@ Kinds:
 - transposed_conv: kernel 2*sigma - (sigma mod 2), pad (k - sigma) / 2
 - nearest_plus_conv, bilinear_plus_conv: interpolation then a 3x3 conv
 - spatial_attention: a 1x1-conv sigmoid gate scales x, then decimate/repeat
+
+Each kind is one forward returning (output, backward), the backward a
+closure over what that forward computed. resample_backward raises
+ContractError for a cache resample_forward did not make for the same op.
 """
 
 from __future__ import annotations
@@ -57,6 +61,11 @@ def _nearest_up(xd: np.ndarray, sigma: int) -> np.ndarray:
     return xd[:, :, rows[:, None], cols[None, :]]
 
 
+def _nearest_up_adjoint(go: np.ndarray, sigma: int, h: int, w: int) -> np.ndarray:
+    n, c = go.shape[:2]
+    return go.reshape(n, c, h, sigma, w, sigma).sum(axis=(3, 5))
+
+
 def _bilinear_axis(sigma: int, size: int, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lo index, hi index, hi weight) per output coordinate, half-pixel centers."""
     src = (np.arange(sigma * size, dtype=np.float64) + 0.5) / sigma - 0.5
@@ -65,35 +74,6 @@ def _bilinear_axis(sigma: int, size: int, dtype) -> tuple[np.ndarray, np.ndarray
     t = (src - lo).astype(dtype)
     hi = np.minimum(lo + 1, size - 1)
     return lo, hi, t
-
-
-def _bilinear_up(xd: np.ndarray, sigma: int) -> tuple[np.ndarray, tuple]:
-    n, c, h, w = xd.shape
-    i0, i1, ti = _bilinear_axis(sigma, h, xd.dtype)
-    j0, j1, tj = _bilinear_axis(sigma, w, xd.dtype)
-    one = xd.dtype.type(1)
-    rows = xd[:, :, i0, :] * (one - ti)[None, None, :, None] \
-        + xd[:, :, i1, :] * ti[None, None, :, None]
-    out = rows[:, :, :, j0] * (one - tj)[None, None, None, :] \
-        + rows[:, :, :, j1] * tj[None, None, None, :]
-    return out, (i0, i1, ti, j0, j1, tj, h, w)
-
-
-def _bilinear_up_adjoint(go: np.ndarray, geom: tuple) -> np.ndarray:
-    i0, i1, ti, j0, j1, tj, h, w = geom
-    n, c = go.shape[:2]
-    one = go.dtype.type(1)
-    g_rows = np.zeros((n, c, go.shape[2], w), dtype=go.dtype)
-    np.add.at(g_rows, (slice(None), slice(None), slice(None), j0),
-              go * (one - tj)[None, None, None, :])
-    np.add.at(g_rows, (slice(None), slice(None), slice(None), j1),
-              go * tj[None, None, None, :])
-    gx = np.zeros((n, c, h, w), dtype=go.dtype)
-    np.add.at(gx, (slice(None), slice(None), i0, slice(None)),
-              g_rows * (one - ti)[None, None, :, None])
-    np.add.at(gx, (slice(None), slice(None), i1, slice(None)),
-              g_rows * ti[None, None, :, None])
-    return gx
 
 
 # ---------------------------------------------------------------------------
@@ -119,88 +99,87 @@ def _pool_windows(x: np.ndarray, sig: int, fill: float) -> np.ndarray:
     return cands
 
 
-def _pool_adjoint(go: np.ndarray, in_hw: tuple[int, int], sig: int,
-                  tap_grads) -> Tensor:
-    """Add the in-map part of the q-th of tap_grads into window tap q of
-    every output."""
-    gx = np.zeros((*go.shape[:2], *in_hw), dtype=go.dtype)
-    for ((li, ti), (lj, tj)), g in zip(_pool_taps(*in_hw, sig)[2], tap_grads):
-        gx[:, :, ti, tj] += g[:, :, li, lj]
-    return Tensor(gx)
+def _pool_adjoint(in_hw: tuple[int, int], sig: int, tap_grads: Callable) -> Callable:
+    """The backward of a pool over an in_hw map: it adds the in-map part of the
+    q-th array of tap_grads(go) into window tap q of every output."""
 
+    def backward(grad_y: Tensor) -> Tensor:
+        go = grad_y.data
+        gx = np.zeros((*go.shape[:2], *in_hw), dtype=go.dtype)
+        for ((li, ti), (lj, tj)), g in zip(_pool_taps(*in_hw, sig)[2], tap_grads(go)):
+            gx[:, :, ti, tj] += g[:, :, li, lj]
+        return Tensor(gx)
 
-def _nearest_up_adjoint(go: np.ndarray, sigma: int, h: int, w: int) -> np.ndarray:
-    n, c = go.shape[:2]
-    return go.reshape(n, c, h, sigma, w, sigma).sum(axis=(3, 5))
+    return backward
 
 
 # ---------------------------------------------------------------------------
-# per-kind forward / backward; each forward returns (output, cache)
+# one function per kind: (op, x) -> (output, backward); backward(grad_y) is
+# the adjoint at x and accumulates the op's param grads
 
 
-def _nearest_up_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
-    return Tensor(_nearest_up(x.data, op.sigma)), {"in_hw": x.shape[2:]}
+def _nearest_up_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, Callable]:
+    h, w = x.shape[2:]
+    return (Tensor(_nearest_up(x.data, op.sigma)),
+            lambda grad_y: Tensor(_nearest_up_adjoint(grad_y.data, op.sigma, h, w)))
 
 
-def _nearest_up_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
-    h, w = cache["in_hw"]
-    return Tensor(_nearest_up_adjoint(grad_y.data, op.sigma, h, w))
+def _bilinear_up_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, Callable]:
+    xd = x.data
+    n, c, h, w = xd.shape
+    i0, i1, ti = _bilinear_axis(op.sigma, h, xd.dtype)
+    j0, j1, tj = _bilinear_axis(op.sigma, w, xd.dtype)
+    one = xd.dtype.type(1)
+    rows = xd[:, :, i0, :] * (one - ti)[None, None, :, None] \
+        + xd[:, :, i1, :] * ti[None, None, :, None]
+    out = rows[:, :, :, j0] * (one - tj)[None, None, None, :] \
+        + rows[:, :, :, j1] * tj[None, None, None, :]
+
+    def backward(grad_y: Tensor) -> Tensor:
+        go = grad_y.data
+        g_rows = np.zeros((n, c, go.shape[2], w), dtype=go.dtype)
+        np.add.at(g_rows, (slice(None), slice(None), slice(None), j0),
+                  go * (one - tj)[None, None, None, :])
+        np.add.at(g_rows, (slice(None), slice(None), slice(None), j1),
+                  go * tj[None, None, None, :])
+        gx = np.zeros((n, c, h, w), dtype=go.dtype)
+        np.add.at(gx, (slice(None), slice(None), i0, slice(None)),
+                  g_rows * (one - ti)[None, None, :, None])
+        np.add.at(gx, (slice(None), slice(None), i1, slice(None)),
+                  g_rows * ti[None, None, :, None])
+        return Tensor(gx)
+
+    return Tensor(out), backward
 
 
-def _bilinear_up_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
-    y, geom = _bilinear_up(x.data, op.sigma)
-    return Tensor(y), {"geom": geom}
-
-
-def _bilinear_up_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
-    return Tensor(_bilinear_up_adjoint(grad_y.data, cache["geom"]))
-
-
-def _max_pool_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
+def _max_pool_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, Callable]:
     cands = _pool_windows(x.data, op.sigma, -np.inf)
     arg = np.argmax(cands, axis=0)
-    y = np.take_along_axis(cands, arg[None], axis=0)[0]
-    return Tensor(y), {"arg": arg, "in_hw": x.shape[2:]}
+    return (Tensor(np.take_along_axis(cands, arg[None], axis=0)[0]),
+            _pool_adjoint(x.shape[2:], op.sigma,
+                          lambda go: (go * (arg == q) for q in count())))
 
 
-def _max_pool_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
-    go, arg = grad_y.data, cache["arg"]
-    return _pool_adjoint(go, cache["in_hw"], op.sigma,
-                         (go * (arg == q) for q in count()))
-
-
-def _avg_pool_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
+def _avg_pool_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, Callable]:
     acc = _fold(_pool_windows(x.data, op.sigma, 0.0), 0)
-    return Tensor(acc / x.dtype.type(op.sigma * op.sigma)), {"in_hw": x.shape[2:]}
+    area = x.dtype.type(op.sigma * op.sigma)
+    return (Tensor(acc / area),
+            _pool_adjoint(x.shape[2:], op.sigma, lambda go: repeat(go / area)))
 
 
-def _avg_pool_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
-    go = grad_y.data
-    return _pool_adjoint(go, cache["in_hw"], op.sigma,
-                         repeat(go / go.dtype.type(op.sigma * op.sigma)))
+def _strided_conv_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, Callable]:
+    return (conv2d_forward(x, op.params, stride=op.sigma, pad=1),
+            lambda grad_y: conv2d_backward(grad_y, x, op.params, stride=op.sigma, pad=1))
 
 
-def _strided_conv_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
-    return conv2d_forward(x, op.params, stride=op.sigma, pad=1), {"x": x}
-
-
-def _strided_conv_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
-    return conv2d_backward(grad_y, cache["x"], op.params, stride=op.sigma, pad=1)
-
-
-def _transposed_conv_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
+def _transposed_conv_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, Callable]:
     _, pad = deconv_geometry(op.sigma)
-    y = transposed_conv_forward(x, op.params, stride=op.sigma, pad=pad)
-    return y, {"x": x}
+    return (transposed_conv_forward(x, op.params, stride=op.sigma, pad=pad),
+            lambda grad_y: transposed_conv_backward(grad_y, x, op.params,
+                                                    stride=op.sigma, pad=pad))
 
 
-def _transposed_conv_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
-    _, pad = deconv_geometry(op.sigma)
-    return transposed_conv_backward(grad_y, cache["x"], op.params,
-                                    stride=op.sigma, pad=pad)
-
-
-def _spatial_attention_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
+def _spatial_attention_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, Callable]:
     sig = op.sigma
     z = conv2d_forward(x, op.params, stride=1, pad=0)
     gate = sigmoid_array(z.data)
@@ -209,25 +188,22 @@ def _spatial_attention_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]
         y = att[:, :, ::sig, ::sig]
     else:
         y = _nearest_up(att, sig)
-    return Tensor(np.ascontiguousarray(y)), {"x": x, "gate": gate}
 
+    def backward(grad_y: Tensor) -> Tensor:
+        go = grad_y.data
+        n, c, h, w = x.shape
+        if op.direction == "down":
+            g_att = np.zeros((n, c, h, w), dtype=go.dtype)
+            g_att[:, :, ::sig, ::sig] = go
+        else:
+            g_att = _nearest_up_adjoint(go, sig, h, w)
+        gx_feat = g_att * gate
+        g_gate = (g_att * x.data).sum(axis=1, keepdims=True)
+        gz = g_gate * gate * (1.0 - gate)
+        gx_pred = conv2d_backward(Tensor(gz), x, op.params, stride=1, pad=0)
+        return Tensor(gx_feat + gx_pred.data)
 
-def _spatial_attention_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
-    go = grad_y.data
-    sig = op.sigma
-    x = cache["x"]
-    gate = cache["gate"]
-    n, c, h, w = x.shape
-    if op.direction == "down":
-        g_att = np.zeros((n, c, h, w), dtype=go.dtype)
-        g_att[:, :, ::sig, ::sig] = go
-    else:
-        g_att = _nearest_up_adjoint(go, sig, h, w)
-    gx_feat = g_att * gate
-    g_gate = (g_att * x.data).sum(axis=1, keepdims=True)
-    gz = g_gate * gate * (1.0 - gate)
-    gx_pred = conv2d_backward(Tensor(gz), x, op.params, stride=1, pad=0)
-    return Tensor(gx_feat + gx_pred.data)
+    return Tensor(np.ascontiguousarray(y)), backward
 
 
 # ---------------------------------------------------------------------------
@@ -238,54 +214,46 @@ def _spatial_attention_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> 
 class _Kind:
     """One resampler kind: its direction ("up", "down", or None when the
     caller picks), its parameter builder (channels, sigma, rng, dtype) or
-    None for fixed kinds, and its forward/backward pair."""
+    None for fixed kinds, and its forward, which returns (output, backward)."""
 
     direction: Optional[str]
     params: Optional[Callable]
     forward: Callable
-    backward: Callable
 
 
 def _conv3x3_params(channels, sigma, rng, dtype):
     return conv_params(channels, channels, 3, rng, dtype)
 
 
-def _then_conv3x3(interp: _Kind) -> _Kind:
-    """Interpolate with `interp`, then a 3x3 conv, stride 1, pad 1."""
+def _then_conv3x3(interp: Callable) -> _Kind:
+    """Interpolate with the kind forward `interp`, then a stride-1 3x3 conv."""
 
     def forward(op, x):
-        up, cache = interp.forward(op, x)
-        cache["up"] = up
-        return conv2d_forward(up, op.params, stride=1, pad=1), cache
+        up, interp_backward = interp(op, x)
+        return (conv2d_forward(up, op.params, stride=1, pad=1),
+                lambda grad_y: interp_backward(
+                    conv2d_backward(grad_y, up, op.params, stride=1, pad=1)))
 
-    def backward(op, grad_y, cache):
-        g_up = conv2d_backward(grad_y, cache["up"], op.params, stride=1, pad=1)
-        return interp.backward(op, g_up, cache)
+    return _Kind("up", _conv3x3_params, forward)
 
-    return _Kind("up", _conv3x3_params, forward, backward)
-
-
-_NEAREST_UP = _Kind("up", None, _nearest_up_forward, _nearest_up_backward)
-_BILINEAR_UP = _Kind("up", None, _bilinear_up_forward, _bilinear_up_backward)
 
 _KINDS = {
-    "nearest_up": _NEAREST_UP,
-    "bilinear_up": _BILINEAR_UP,
+    "nearest_up": _Kind("up", None, _nearest_up_forward),
+    "bilinear_up": _Kind("up", None, _bilinear_up_forward),
     "transposed_conv": _Kind(
         "up",
         lambda channels, sigma, rng, dtype: transposed_conv_params(
             channels, channels, deconv_geometry(sigma)[0], rng, dtype),
-        _transposed_conv_forward, _transposed_conv_backward),
-    "nearest_plus_conv": _then_conv3x3(_NEAREST_UP),
-    "bilinear_plus_conv": _then_conv3x3(_BILINEAR_UP),
-    "max_pool": _Kind("down", None, _max_pool_forward, _max_pool_backward),
-    "avg_pool": _Kind("down", None, _avg_pool_forward, _avg_pool_backward),
-    "strided_conv": _Kind("down", _conv3x3_params, _strided_conv_forward,
-                          _strided_conv_backward),
+        _transposed_conv_forward),
+    "nearest_plus_conv": _then_conv3x3(_nearest_up_forward),
+    "bilinear_plus_conv": _then_conv3x3(_bilinear_up_forward),
+    "max_pool": _Kind("down", None, _max_pool_forward),
+    "avg_pool": _Kind("down", None, _avg_pool_forward),
+    "strided_conv": _Kind("down", _conv3x3_params, _strided_conv_forward),
     "spatial_attention": _Kind(
         None,
         lambda channels, sigma, rng, dtype: conv_params(1, channels, 1, rng, dtype),
-        _spatial_attention_forward, _spatial_attention_backward),
+        _spatial_attention_forward),
 }
 
 UP_KINDS = tuple(k for k, v in _KINDS.items() if v.direction == "up")
@@ -324,16 +292,17 @@ def make_resample_op(kind: str, sigma: int, channels: int | None = None,
 
 def resample_forward(op: ResampleOp, x: Tensor) -> tuple[Tensor, dict]:
     """Apply the operator; returns (output, cache for resample_backward),
-    the cache holding the output's (shape, dtype) under "out"."""
-    y, cache = _kind(op.kind).forward(op, x)
-    cache["out"] = (y.shape, y.dtype)
-    return y, cache
+    the cache holding the op under "op", the output's (shape, dtype) under
+    "out" and the adjoint at x under "backward"."""
+    y, backward = _kind(op.kind).forward(op, x)
+    return y, {"op": op, "out": (y.shape, y.dtype), "backward": backward}
 
 
 def resample_backward(op: ResampleOp, grad_y: Tensor, cache: dict) -> Tensor:
-    """Adjoint of resample_forward; accumulates grads of learned params."""
-    kind = _kind(op.kind)
-    if cache is None or "out" not in cache:
-        raise ContractError("resample_backward needs the cache from resample_forward")
+    """Adjoint of resample_forward; accumulates grads of learned params.
+    cache must be the one resample_forward returned for this same op."""
+    if not isinstance(cache, dict) or cache.get("op") is not op:
+        raise ContractError(
+            "resample_backward needs the cache resample_forward made for this op")
     _check_grad(grad_y, *cache["out"])
-    return kind.backward(op, grad_y, cache)
+    return cache["backward"](grad_y)

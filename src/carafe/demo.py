@@ -466,7 +466,6 @@ class OperatorSummary:
     per_seed: tuple
     mean: float
     sd: float
-    delta_vs_carafe: Optional[float]
 
 
 def compare_operators(task: ToyTask, roster: list, seeds, arch: str,
@@ -480,8 +479,6 @@ def compare_operators(task: ToyTask, roster: list, seeds, arch: str,
     (slot, seed) the net comes from seeded_net(seed) and the data from the
     task at that seed, so every operator sees bitwise-equal trunk
     parameters and data. sd is the population standard deviation.
-    delta_vs_carafe is carafe's mean minus the row's mean when a carafe row
-    exists.
     """
     if not roster:
         raise ContractError("roster must not be empty")
@@ -493,17 +490,7 @@ def compare_operators(task: ToyTask, roster: list, seeds, arch: str,
             rep = train(net, replace(task, seed=seed), epochs, lr,
                         train_count=train_count, eval_count=eval_count)
             per_seed.append(rep.final_metric)
-        rows.append((spec.kind, tuple(per_seed)))
-    carafe_mean = None
-    for name, per_seed in rows:
-        if name == "carafe":
-            carafe_mean = float(np.mean(per_seed))
-            break
-    out = []
-    for name, per_seed in rows:
-        mean = float(np.mean(per_seed))
-        sd = float(np.std(per_seed))
-        delta = None if carafe_mean is None else carafe_mean - mean
-        out.append(OperatorSummary(operator=name, per_seed=per_seed,
-                                   mean=mean, sd=sd, delta_vs_carafe=delta))
-    return out
+        rows.append(OperatorSummary(operator=spec.kind, per_seed=tuple(per_seed),
+                                    mean=float(np.mean(per_seed)),
+                                    sd=float(np.std(per_seed))))
+    return rows

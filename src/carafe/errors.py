@@ -16,6 +16,8 @@ and affine_norm, forward and backward) checks its input against it through
 nn._check_input (the channel count, ShapeError, then the dtype,
 DTypeError). The containers check their own arrays against each other
 when built, so an op compares only its input with its container.
+resample_backward raises ContractError for a cache that resample_forward
+did not make for the same op.
 """
 
 

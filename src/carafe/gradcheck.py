@@ -87,9 +87,11 @@ def finite_diff_array(loss_fn: Callable[[], float], arr: np.ndarray,
         orig = flat[idx].item()
         step = eps * max(1.0, abs(orig))
         values = []
-        for m in multiples:
-            flat[idx] = orig + m * step
-            values.append(loss_fn())
+        # A non-finite loss raises NumericError below, not a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in multiples:
+                flat[idx] = orig + m * step
+                values.append(loss_fn())
         flat[idx] = orig
         if not all(math.isfinite(v) for v in values):
             raise NumericError(

@@ -167,10 +167,6 @@ class ConvLayerParams(_TrainableArrays):
     def _trainable(self) -> tuple:
         return self._ARRAYS if self.trainable_bias else ("weights",)
 
-    @property
-    def k(self) -> int:
-        return self.weights.shape[2]
-
 
 @dataclass
 class AffineNormParams(_TrainableArrays):
@@ -743,7 +739,11 @@ def softmax_group_backward(grad_out: Tensor, y: Tensor, group: int) -> Tensor:
     return Tensor(dz.reshape(n, c, h, w))
 
 
-def affine_norm(x: Tensor, p: AffineNormParams, eps: float = 1e-5) -> Tensor:
+# The variance offset of affine_norm; its backward must add the same one.
+_NORM_EPS = 1e-5
+
+
+def affine_norm(x: Tensor, p: AffineNormParams) -> Tensor:
     """Standardize each channel over (batch, rows, cols), then gamma/beta.
 
     The mean and the variance each take the fold tree stated at _fold.
@@ -759,14 +759,14 @@ def affine_norm(x: Tensor, p: AffineNormParams, eps: float = 1e-5) -> Tensor:
     mean = total(xd) / count
     d = xd - mean[None, :, None, None]
     var = total(d * d) / count
-    inv = x.dtype.type(1) / np.sqrt(var + x.dtype.type(eps))
+    inv = x.dtype.type(1) / np.sqrt(var + x.dtype.type(_NORM_EPS))
     xhat = d * inv[None, :, None, None]
     y = p.gamma[None, :, None, None] * xhat + p.beta[None, :, None, None]
     return Tensor(y)
 
 
-def affine_norm_backward(grad_out: Tensor, x: Tensor, p: AffineNormParams,
-                         eps: float = 1e-5) -> Tensor:
+def affine_norm_backward(grad_out: Tensor, x: Tensor, p: AffineNormParams
+                         ) -> Tensor:
     """Adjoint of affine_norm through the batch statistics.
 
     Accumulates grad_gamma/grad_beta and returns grad wrt x. Recomputes the
@@ -781,7 +781,7 @@ def affine_norm_backward(grad_out: Tensor, x: Tensor, p: AffineNormParams,
     mean = xd.mean(axis=(0, 2, 3), dtype=x.dtype)
     d = xd - mean[None, :, None, None]
     var = (d * d).mean(axis=(0, 2, 3), dtype=x.dtype)
-    inv = x.dtype.type(1) / np.sqrt(var + x.dtype.type(eps))
+    inv = x.dtype.type(1) / np.sqrt(var + x.dtype.type(_NORM_EPS))
     xhat = d * inv[None, :, None, None]
     p.grad_beta += go.sum(axis=(0, 2, 3))
     p.grad_gamma += (go * xhat).sum(axis=(0, 2, 3))

@@ -42,7 +42,7 @@ of the exact tier's.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -193,7 +193,8 @@ def kernel_offsets(k: int) -> list[tuple[int, int]]:
 @dataclass(eq=False)
 class CarafeCache:
     """What one forward pass keeps for carafe_backward: the input, config and
-    params, each pipeline stage's output and the kernel field."""
+    params, each pipeline stage's output, the kernel field and the
+    normalizer's backward (_normalize_logits)."""
 
     x: Tensor
     cfg: CarafeConfig
@@ -201,26 +202,38 @@ class CarafeCache:
     comp: Optional[Tensor] = None
     normed: Optional[Tensor] = None
     enc_in: Optional[Tensor] = None
-    logits: Optional[Tensor] = None
-    sig: Optional[np.ndarray] = None
-    sig_sum: Optional[np.ndarray] = None
     kf: Optional[KernelField] = None
+    normalize_backward: Optional[Callable] = None
     consumed: bool = False
 
 
-def _normalize_logits(cache: CarafeCache) -> KernelField:
-    cfg = cache.cfg
+def _normalize_logits(logits: Tensor, cfg: CarafeConfig
+                      ) -> tuple[KernelField, Callable]:
+    """The kernel field of cfg's normalizer over logits, and its backward:
+    the gradient wrt the field's array -> the gradient wrt logits."""
     g = cfg.kernel_channels
+    k = cfg.k_reassembly
     if cfg.normalizer == "softmax":
-        return KernelField(softmax_group(cache.logits, g), cfg.k_reassembly, True)
-    cache.sig = sigmoid_array(cache.logits.data)
+        y = softmax_group(logits, g)
+        return (KernelField(y, k, True),
+                lambda grad_kf: softmax_group_backward(Tensor(grad_kf), y, g))
+    sig = sigmoid_array(logits.data)
     if cfg.normalizer == "sigmoid":
-        return KernelField(Tensor(cache.sig), cfg.k_reassembly, False)
-    n, c, h, w = cache.logits.shape
-    sr = cache.sig.reshape(n, c // g, g, h, w)
-    cache.sig_sum = _fold(sr, 2)
-    y = sr / cache.sig_sum[:, :, None]
-    return KernelField(Tensor(y.reshape(n, c, h, w)), cfg.k_reassembly, True)
+        return (KernelField(Tensor(sig), k, False),
+                lambda grad_kf: Tensor(grad_kf * sig * (1.0 - sig)))
+    n, c, h, w = logits.shape
+    s = sig.reshape(n, c // g, g, h, w)
+    total = _fold(s, 2)
+    y = s / total[:, :, None]
+
+    def backward(grad_kf: np.ndarray) -> Tensor:
+        gr = grad_kf.reshape(n, c // g, g, h, w)
+        dot = _fold(gr * s, 2)
+        gs = gr / total[:, :, None] - (dot / (total * total))[:, :, None]
+        gz = gs * s * (1.0 - s)
+        return Tensor(gz.reshape(n, c, h, w))
+
+    return KernelField(Tensor(y.reshape(n, c, h, w)), k, True), backward
 
 
 def _predict_forward(x: Tensor, params: CarafeParams, cfg: CarafeConfig
@@ -241,32 +254,14 @@ def _predict_forward(x: Tensor, params: CarafeParams, cfg: CarafeConfig
     ph, step = _phase_step(cfg)
     enc = conv2d_forward(cache.enc_in, params.encoder, stride=step,
                          pad=cfg.k_encoder // 2)
-    cache.logits = pixel_shuffle(enc, ph) if ph > 1 else enc
-    cache.kf = _normalize_logits(cache)
+    logits = pixel_shuffle(enc, ph) if ph > 1 else enc
+    cache.kf, cache.normalize_backward = _normalize_logits(logits, cfg)
     return cache
 
 
 def predict_kernels(x: Tensor, params: CarafeParams, cfg: CarafeConfig) -> KernelField:
     """Run the kernel-prediction pipeline and return the kernel field."""
     return _predict_forward(x, params, cfg).kf
-
-
-def _normalize_backward(grad_kf: np.ndarray, cache: CarafeCache) -> Tensor:
-    cfg = cache.cfg
-    g = cfg.kernel_channels
-    if cfg.normalizer == "softmax":
-        return softmax_group_backward(Tensor(grad_kf), cache.kf.tensor, g)
-    s = cache.sig
-    if cfg.normalizer == "sigmoid":
-        return Tensor(grad_kf * s * (1.0 - s))
-    n, c, h, w = cache.logits.shape
-    s = s.reshape(n, c // g, g, h, w)
-    total = cache.sig_sum
-    gr = grad_kf.reshape(n, c // g, g, h, w)
-    dot = _fold(gr * s, 2)
-    gs = gr / total[:, :, None] - (dot / (total * total))[:, :, None]
-    gz = gs * s * (1.0 - s)
-    return Tensor(gz.reshape(n, c, h, w))
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +468,7 @@ def carafe_backward(grad_y: Tensor, cache: CarafeCache) -> Tensor:
     gx_feat, g_kf = reassemble_backward(
         grad_y, cache.x, cache.kf, cfg,
         allow_unnormalized=(cfg.normalizer == "sigmoid"))
-    g_logits = _normalize_backward(g_kf.data, cache)
+    g_logits = cache.normalize_backward(g_kf.data)
     ph, step = _phase_step(cfg)
     g_enc = pixel_unshuffle(g_logits, ph) if ph > 1 else g_logits
     g_enc_in = conv2d_backward(g_enc, cache.enc_in, params.encoder, stride=step,

@@ -180,7 +180,7 @@ class TestGradcheckCommand:
         payload = _read_json(tmp_path / "gradcheck.json")
         assert payload["passed"] is False
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_loss_fails_its_op_and_the_rest_still_run(self, tmp_path):
         # eps 1e308 steps conv2d's loss to +-inf; relu's stays finite
         rc = main(["gradcheck", "--ops", "conv2d,relu", "--eps", "1e308",

@@ -299,3 +299,19 @@ def test_bad_input_raises_its_error(name, bad, error):
 def test_container_rejects_its_own_dtype_mismatch(site):
     with pytest.raises(DTypeError):
         CONTAINER_REJECTIONS[site]()
+
+
+# resample_backward of one op given the cache resample_forward made for
+# another: op kind -> the other op's kind.
+CACHE_MISMATCHES = {"max_pool": "avg_pool", "spatial_attention": "strided_conv",
+                    "strided_conv": "strided_conv"}
+
+
+@pytest.mark.parametrize("kind", list(CACHE_MISMATCHES))
+def test_cache_of_another_op_is_a_contract_error(kind):
+    op, other = (make_resample_op(k, 2, channels=2, rng=np.random.default_rng(1),
+                                  direction="down")
+                 for k in (kind, CACHE_MISMATCHES[kind]))
+    y, cache = resample_forward(other, _x(1, 2, 4, 4))
+    with pytest.raises(ContractError, match="made for this op"):
+        resample_backward(op, Tensor(np.ones(y.shape)), cache)
