@@ -136,9 +136,13 @@ def dataset_batch(task: ToyTask, count: int, dtype=np.float64) -> tuple[Tensor, 
 # losses and metrics
 
 
-def mse_loss(pred: Tensor, target: Tensor) -> tuple[float, Tensor]:
+def _check_same_shape(pred: Tensor, target: Tensor) -> None:
     if pred.shape != target.shape:
         raise ShapeError(f"prediction {pred.shape} vs target {target.shape}")
+
+
+def mse_loss(pred: Tensor, target: Tensor) -> tuple[float, Tensor]:
+    _check_same_shape(pred, target)
     diff = pred.data - target.data
     loss = float(np.mean(diff * diff, dtype=np.float64))
     grad = (2.0 / diff.size) * diff
@@ -147,8 +151,7 @@ def mse_loss(pred: Tensor, target: Tensor) -> tuple[float, Tensor]:
 
 def bce_logits_loss(pred: Tensor, target: Tensor) -> tuple[float, Tensor]:
     """Mean binary cross-entropy on logits, in the stable max-form."""
-    if pred.shape != target.shape:
-        raise ShapeError(f"prediction {pred.shape} vs target {target.shape}")
+    _check_same_shape(pred, target)
     z = pred.data
     t = target.data
     per = np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))
@@ -159,6 +162,7 @@ def bce_logits_loss(pred: Tensor, target: Tensor) -> tuple[float, Tensor]:
 
 def psnr(pred: Tensor, target: Tensor) -> float:
     """Peak signal-to-noise ratio against a [0,1] target (MAX = 1)."""
+    _check_same_shape(pred, target)
     diff = pred.data.astype(np.float64) - target.data.astype(np.float64)
     mse = float(np.mean(diff * diff))
     if mse == 0.0:
@@ -168,6 +172,7 @@ def psnr(pred: Tensor, target: Tensor) -> float:
 
 def iou(pred_logits: Tensor, target: Tensor) -> float:
     """Intersection over union of (logit > 0) vs (target > 0.5)."""
+    _check_same_shape(pred_logits, target)
     p = pred_logits.data > 0
     t = target.data > 0.5
     union = np.logical_or(p, t).sum()

@@ -8,7 +8,7 @@ Tensor container layout (little-endian on every host):
   bytes 22..   raw payload, row-major, little-endian
 
 PGM support is binary 8-bit grayscale only (P5, maxval 255); pixel v maps to
-v/255 on load and round(clip(v,0,1)*255) on save.
+v/255 on load and round(clip(v,0,1)*255) on save; a NaN is not saved.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ShapeError
+from .errors import FormatError, NumericError, ShapeError
 from .tensor import Tensor
 
 MAGIC = b"CRFT"
@@ -122,10 +122,13 @@ def load_pgm(path, dtype=np.float64) -> Tensor:
 
 
 def save_pgm(t: Tensor, path) -> None:
-    """Write a (1,1,h,w) tensor as binary 8-bit PGM, clipping to [0,1]."""
+    """Write a (1,1,h,w) tensor as binary 8-bit PGM, clipping to [0,1];
+    NumericError for a NaN, which has no pixel value."""
     n, c, h, w = t.shape
     if n != 1 or c != 1:
         raise ShapeError(f"PGM export needs a (1,1,h,w) tensor, got {t.shape}")
+    if np.isnan(t.data).any():
+        raise NumericError("PGM export of a tensor that holds a NaN")
     v = np.clip(t.data[0, 0], 0.0, 1.0)
     payload = np.round(v * 255.0).astype(np.uint8)
     header = f"P5\n{w} {h}\n255\n".encode("ascii")

@@ -17,10 +17,13 @@ emits sigma*H x sigma*W. Borders are zero-padded.
 
 Both directions run one pipeline and one tap loop per pass, parameterized
 by _phase_step, the one place the computation reads the direction
-(map_target_to_source spells the mapping out per location). The
-accumulation orders of the exact tier, fixed so the vectorized code agrees
-bitwise with the direct loop nests in reference.py, are stated there; the
-sigmoid_norm normalizer's sums are nn._fold's.
+(map_target_to_source spells the mapping out per location). Kernel
+prediction returns its backward, a closure over the pipeline's
+intermediates; carafe_forward keeps one closure, reassemble_backward then
+that one, in CarafeCache. The accumulation orders of the exact tier, fixed
+so the vectorized code agrees bitwise with the direct loop nests in
+reference.py, are stated there; the sigmoid_norm normalizer's sums are
+nn._fold's.
 
 Reassembly computes channels-last on both tiers: the kernel field and
 grad_y are read from one _channels_last copy each, (n, hb, wb, ph^2, c),
@@ -76,7 +79,7 @@ class CarafeConfig:
     """Geometry and variant knobs for one reassembly operator.
 
     c_mid and compressor_norm default by direction (16/True for down,
-    64/False for up) when left as None.
+    64/False for up) when left as None; compressor_norm is otherwise a bool.
     """
 
     direction: str
@@ -101,6 +104,8 @@ class CarafeConfig:
         if self.compressor_norm is None:
             object.__setattr__(self, "compressor_norm",
                                _COMPRESSOR_NORM_DEFAULT[self.direction])
+        elif not isinstance(self.compressor_norm, bool):
+            raise ContractError(f"compressor_norm must be a bool or None: {self.compressor_norm!r}")
 
     @property
     def kernel_channels(self) -> int:
@@ -190,23 +195,6 @@ def kernel_offsets(k: int) -> list[tuple[int, int]]:
 # kernel prediction
 
 
-@dataclass(eq=False)
-class CarafeCache:
-    """What one forward pass keeps for carafe_backward: the input, config and
-    params, each pipeline stage's output, the kernel field and the
-    normalizer's backward (_normalize_logits)."""
-
-    x: Tensor
-    cfg: CarafeConfig
-    params: CarafeParams
-    comp: Optional[Tensor] = None
-    normed: Optional[Tensor] = None
-    enc_in: Optional[Tensor] = None
-    kf: Optional[KernelField] = None
-    normalize_backward: Optional[Callable] = None
-    consumed: bool = False
-
-
 def _normalize_logits(logits: Tensor, cfg: CarafeConfig
                       ) -> tuple[KernelField, Callable]:
     """The kernel field of cfg's normalizer over logits, and its backward:
@@ -237,31 +225,41 @@ def _normalize_logits(logits: Tensor, cfg: CarafeConfig
 
 
 def _predict_forward(x: Tensor, params: CarafeParams, cfg: CarafeConfig
-                     ) -> CarafeCache:
+                     ) -> tuple[KernelField, Callable]:
+    """The kernel field of x, and its backward: (grad wrt the field's array,
+    grad_x from reassembly) -> grad_x plus this path's, accumulating param grads."""
     if params.encoder.weights.shape[0] != cfg.encoder_out_channels:
         raise ShapeError(
             f"encoder emits {params.encoder.weights.shape[0]} channels, config "
             f"needs {cfg.encoder_out_channels}")
     if cfg.compressor_norm and params.norm is None:
         raise ContractError("config enables compressor_norm but params.norm is missing")
-    cache = CarafeCache(x, cfg, params)
-    cache.comp = conv2d_forward(x, params.compressor, stride=1, pad=0)
-    if cfg.compressor_norm:
-        cache.normed = affine_norm(cache.comp, params.norm)
-        cache.enc_in = relu(cache.normed)
-    else:
-        cache.enc_in = cache.comp
     ph, step = _phase_step(cfg)
-    enc = conv2d_forward(cache.enc_in, params.encoder, stride=step,
-                         pad=cfg.k_encoder // 2)
+    pad = cfg.k_encoder // 2
+    comp = conv2d_forward(x, params.compressor, stride=1, pad=0)
+    normed = affine_norm(comp, params.norm) if cfg.compressor_norm else None
+    enc_in = comp if normed is None else relu(normed)
+    enc = conv2d_forward(enc_in, params.encoder, stride=step, pad=pad)
     logits = pixel_shuffle(enc, ph) if ph > 1 else enc
-    cache.kf, cache.normalize_backward = _normalize_logits(logits, cfg)
-    return cache
+    kf, normalize_backward = _normalize_logits(logits, cfg)
+
+    def backward(grad_kf: np.ndarray, grad_x: Tensor) -> Tensor:
+        g_logits = normalize_backward(grad_kf)
+        g_enc = pixel_unshuffle(g_logits, ph) if ph > 1 else g_logits
+        g = conv2d_backward(g_enc, enc_in, params.encoder, stride=step, pad=pad)
+        if normed is not None:
+            g = affine_norm_backward(relu_backward(g, normed), comp, params.norm)
+        gx_pred = conv2d_backward(g, x, params.compressor, stride=1, pad=0)
+        # Summed while this path's gradients are alive: freed first, they
+        # leave a heap layout that costs the next forward fresh pages.
+        return Tensor(grad_x.data + gx_pred.data)
+
+    return kf, backward
 
 
 def predict_kernels(x: Tensor, params: CarafeParams, cfg: CarafeConfig) -> KernelField:
     """Run the kernel-prediction pipeline and return the kernel field."""
-    return _predict_forward(x, params, cfg).kf
+    return _predict_forward(x, params, cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -442,12 +440,30 @@ def _put_location_major(dst: np.ndarray, prod: np.ndarray) -> None:
 # fused operator
 
 
+@dataclass(eq=False)
+class CarafeCache:
+    """What carafe_forward keeps: the params, the kernel field, the output's
+    (shape, dtype) and the adjoint at x, a closure over the forward's state."""
+
+    params: CarafeParams
+    kf: KernelField
+    out: tuple
+    backward: Callable
+    consumed: bool = False
+
+
 def carafe_forward(x: Tensor, params: CarafeParams, cfg: CarafeConfig
                    ) -> tuple[Tensor, CarafeCache]:
     """Predict kernels from content, then reassemble with them."""
-    cache = _predict_forward(x, params, cfg)
-    y = reassemble(x, cache.kf, cfg, allow_unnormalized=(cfg.normalizer == "sigmoid"))
-    return y, cache
+    kf, predict_backward = _predict_forward(x, params, cfg)
+    raw = not kf.normalized
+    y = reassemble(x, kf, cfg, allow_unnormalized=raw)
+
+    def backward(grad_y: Tensor) -> Tensor:
+        gx_feat, g_kf = reassemble_backward(grad_y, x, kf, cfg, allow_unnormalized=raw)
+        return predict_backward(g_kf.data, gx_feat)
+
+    return y, CarafeCache(params, kf, (y.shape, y.dtype), backward)
 
 
 def carafe_backward(grad_y: Tensor, cache: CarafeCache) -> Tensor:
@@ -456,27 +472,10 @@ def carafe_backward(grad_y: Tensor, cache: CarafeCache) -> Tensor:
     Returns grad wrt x (feature path plus prediction path, added in that
     order) and accumulates every parameter gradient in cache.params.
     """
-    if cache is None:
+    if not isinstance(cache, CarafeCache):
         raise ContractError("carafe_backward needs the cache from carafe_forward")
     if cache.consumed:
         raise ContractError("cache already consumed by a previous backward call")
-    cfg = cache.cfg
-    n, c, h, w = cache.x.shape
-    _check_grad(grad_y, (n, c) + cfg.output_hw(h, w), cache.x.dtype)
+    _check_grad(grad_y, *cache.out)
     cache.consumed = True
-    params = cache.params
-    gx_feat, g_kf = reassemble_backward(
-        grad_y, cache.x, cache.kf, cfg,
-        allow_unnormalized=(cfg.normalizer == "sigmoid"))
-    g_logits = cache.normalize_backward(g_kf.data)
-    ph, step = _phase_step(cfg)
-    g_enc = pixel_unshuffle(g_logits, ph) if ph > 1 else g_logits
-    g_enc_in = conv2d_backward(g_enc, cache.enc_in, params.encoder, stride=step,
-                               pad=cfg.k_encoder // 2)
-    if cfg.compressor_norm:
-        g_normed = relu_backward(g_enc_in, cache.normed)
-        g_comp = affine_norm_backward(g_normed, cache.comp, params.norm)
-    else:
-        g_comp = g_enc_in
-    gx_pred = conv2d_backward(g_comp, cache.x, params.compressor, stride=1, pad=0)
-    return Tensor(gx_feat.data + gx_pred.data)
+    return cache.backward(grad_y)

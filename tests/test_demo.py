@@ -10,7 +10,7 @@ from carafe.demo import (ARCHITECTURES, TASK_KINDS, ReluLayer, SlotSpec,
                          ToyTask, bce_logits_loss, build_net,
                          compare_operators, dataset_batch, evaluate, iou,
                          make_dataset, mse_loss, psnr, seeded_net, train)
-from carafe.errors import ContractError, TrainingDiverged
+from carafe.errors import ContractError, ShapeError, TrainingDiverged
 from carafe.nn import sgd_step, zero_grads
 from carafe.tensor import Tensor
 
@@ -140,6 +140,13 @@ class TestLossesAndMetrics:
         target = Tensor(np.zeros((1, 1, 2, 2)))
         assert iou(logits, target) == 1.0
 
+    @pytest.mark.parametrize("fn", [mse_loss, bce_logits_loss, psnr, iou])
+    def test_shape_mismatch_rejected_not_broadcast(self, fn):
+        pred = Tensor(np.full((1, 1, 4, 4), 0.5))
+        target = Tensor(np.random.default_rng(52).uniform(size=(3, 1, 4, 4)))
+        with pytest.raises(ShapeError, match="prediction"):
+            fn(pred, target)
+
 
 class TestNetworks:
     @pytest.mark.parametrize("arch", ARCHITECTURES)
@@ -178,6 +185,10 @@ class TestNetworks:
     def test_unknown_slot_option_rejected(self):
         with pytest.raises(TypeError):
             SlotSpec("carafe", c_mdi=4)
+
+    def test_non_bool_compressor_norm_rejected(self):
+        with pytest.raises(ContractError, match="compressor_norm"):
+            SlotSpec("carafe", compressor_norm="off")
 
     def test_unknown_arch(self):
         rs, rl = _rngs(5)

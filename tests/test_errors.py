@@ -315,3 +315,11 @@ def test_cache_of_another_op_is_a_contract_error(kind):
     y, cache = resample_forward(other, _x(1, 2, 4, 4))
     with pytest.raises(ContractError, match="made for this op"):
         resample_backward(op, Tensor(np.ones(y.shape)), cache)
+
+
+@pytest.mark.parametrize("cache", [
+    {}, "cache", 3, resample_forward(make_resample_op("avg_pool", 2), _x(1, 2, 4, 4))[1]],
+    ids=["empty_dict", "str", "int", "resample_cache"])
+def test_carafe_backward_rejects_what_carafe_forward_did_not_make(cache):
+    with pytest.raises(ContractError, match="cache from carafe_forward"):
+        reassembly.carafe_backward(Tensor(np.ones((1, 2, 2, 2))), cache)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carafe.errors import FormatError, ShapeError
+from carafe.errors import FormatError, NumericError, ShapeError
 from carafe.fileio import load_pgm, load_tensor, save_pgm, save_tensor
 from carafe.tensor import SINGLE, Tensor
 
@@ -173,12 +173,18 @@ class TestPgm:
             save_pgm(t, tmp_path / "g.pgm")
 
     def test_save_clips_out_of_range(self, tmp_path):
-        t = Tensor(np.array([[[[-0.5, 1.5]]]]))
+        t = Tensor(np.array([[[[-0.5, 1.5, -np.inf, np.inf]]]]))
         path = tmp_path / "h.pgm"
         save_pgm(t, path)
         back = load_pgm(path)
-        assert back.data[0, 0, 0, 0] == 0.0
-        assert back.data[0, 0, 0, 1] == 1.0
+        assert back.data[0, 0, 0].tolist() == [0.0, 1.0, 0.0, 1.0]
+
+    def test_save_rejects_nan(self, tmp_path):
+        t = Tensor(np.array([[[[0.5, np.nan]]]]))
+        path = tmp_path / "n.pgm"
+        with pytest.raises(NumericError, match="NaN"):
+            save_pgm(t, path)
+        assert not path.exists()
 
     def test_load_single_precision_option(self, tmp_path):
         path = tmp_path / "i.pgm"

@@ -99,11 +99,13 @@ def test_interleaved_resample_backwards_keep_their_own_forward(kind, direction):
         lambda g, cache: resample_backward(op, g, cache), op.params))
 
 
+@pytest.mark.parametrize("compressor_norm", [True, False])
 @pytest.mark.parametrize("direction", DIRECTIONS)
 @pytest.mark.parametrize("normalizer", NORMALIZERS)
-def test_interleaved_carafe_backwards_keep_their_own_forward(normalizer, direction):
+def test_interleaved_carafe_backwards_keep_their_own_forward(normalizer, direction,
+                                                             compressor_norm):
     cfg = CarafeConfig(direction, 2, k_encoder=3, k_reassembly=3, c_mid=4,
-                       normalizer=normalizer)
+                       normalizer=normalizer, compressor_norm=compressor_norm)
     params = carafe_params(3, cfg, np.random.default_rng(0))
     _assert_bit_equal(*_both_orders(lambda x: carafe_forward(x, params, cfg),
                                     carafe_backward, params))

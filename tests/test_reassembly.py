@@ -78,6 +78,12 @@ class TestConfig:
         cfg = CarafeConfig("down", 2, c_mid=5, compressor_norm=False)
         assert cfg.c_mid == 5 and cfg.compressor_norm is False
 
+    @pytest.mark.parametrize("value", ["off", "on", 0, 1, np.bool_(True)],
+                             ids=["off", "on", "zero", "one", "numpy_bool"])
+    def test_compressor_norm_is_a_bool_or_none(self, value):
+        with pytest.raises(ContractError, match="compressor_norm"):
+            CarafeConfig("down", 2, compressor_norm=value)
+
     def test_kernel_channels(self):
         assert CarafeConfig("down", 2, k_reassembly=5).kernel_channels == 25
         assert CarafeConfig("up", 3, k_reassembly=1).kernel_channels == 1
